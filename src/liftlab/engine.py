@@ -307,18 +307,6 @@ class TwoQuotient:
     dim2: int
     labels: dict[Element, int] = field(repr=False)
 
-    def coordinates(self, x: Element | ResidueMatrix) -> tuple[int, ...]:
-        """Image of an element as an F2 vector of length dim2."""
-        if isinstance(x, ResidueMatrix):
-            x = x.key()
-        mask = self.labels[x]
-        return tuple((mask >> k) & 1 for k in range(self.dim2))
-
-    def mask(self, x: Element | ResidueMatrix) -> int:
-        if isinstance(x, ResidueMatrix):
-            x = x.key()
-        return self.labels[x]
-
 
 def two_quotient(group: ResidueMatrixGroup) -> TwoQuotient:
     """Coordinates on G/G'G^2, built by iterative coset splitting.
@@ -347,6 +335,30 @@ def two_quotient(group: ResidueMatrixGroup) -> TwoQuotient:
         raise AssertionError(
             "index of the squares subgroup is not a power of two")
     return TwoQuotient(group, squares, dim, labels)
+
+
+def f2_consistent(rows: Iterable[tuple[int, int]]) -> bool:
+    """Whether some F2-linear functional phi has phi(mask) = bit on every row.
+
+    Each row is (mask, bit), the mask an F2 vector packed into an int.
+    Gaussian elimination keeps one reduced row per leading bit; the system
+    is inconsistent exactly when a row reduces to mask 0 with bit 1 (a row
+    (0, 1) on its own is already inconsistent).
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for mask, bit in rows:
+        while mask:
+            lead = mask.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = (mask, bit)
+                break
+            pivot_mask, pivot_bit = pivots[lead]
+            mask ^= pivot_mask
+            bit ^= pivot_bit
+        else:
+            if bit:
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,22 @@ are rigid:
 
 A lift L is a congruence group exactly when it contains the principal
 congruence subgroup of level 2N (N the level of the projective group),
-which happens exactly when its image H mod 2N has index 2 in the image
-Gtilde mod 2N.  Since [Gtilde : L] = 2 the image order can only be
-|Gtilde mod 2N| or half of it; that dichotomy is the certificate.
+that is, exactly when its sign character factors through the image H of
+the full preimage in SL2(Z/2N).  The character takes values +1 and -1,
+so it factors through H exactly when it factors through the two-quotient
+H/H'H^2, an F2 vector space whose coordinates `engine.two_quotient`
+assigns to every element.  Each lift is therefore classified by one
+linear solve over F2: every signed generator contributes the row
+(coordinates of its image mod 2N, 1 if its sign is -1), -I contributes
+(coordinates of -I, 1), and the lift is congruence exactly when the
+system is consistent.  This needs the presentation generators together
+with -I to generate H, which one closure per (family, level) checks.
+
+Since [Gtilde : L] = 2, the image of L mod 2N is either all of H or a
+subgroup of index 2, and the latter happens exactly for a congruence
+lift; the certificate records the image order derived from the verdict
+(|H|/2 or |H|).  A full closure of the kernel's generators audits these
+orders in `verify` (the property suite and `verify_witness_data`).
 """
 
 from __future__ import annotations
@@ -198,47 +211,53 @@ def full_image(family: str, level: int,
     return engine.adjoin_minus_identity(group)
 
 
+@lru_cache(maxsize=1)
+def _full_image_labels(family: str, level: int, max_modulus: int | None,
+                       ) -> tuple[int, dict[engine.Element, int]]:
+    """|H| and the two-quotient labels of H, the full image mod 2N.
+
+    Also checks the fact the F2 criterion rests on: the presentation
+    generators together with -I reach every element of H.  Only the
+    labels are kept, so the cache holds one table per level, not the
+    group and its squares subgroup besides.
+    """
+    n = 2 * level
+    ambient = full_image(family, level, max_modulus=max_modulus)
+    gens = generator_set(family, level).matrices() + (MINUS_IDENTITY,)
+    image = engine.closure([m.reduce(n).key() for m in gens], n)
+    if image.order != ambient.order:
+        raise AssertionError(
+            f"presentation generators only reach {image.order} of "
+            f"{ambient.order} elements mod {n}")
+    return ambient.order, engine.two_quotient(ambient).labels
+
+
 def classify_lift(character: SignCharacter, family: str, level: int,
                   max_modulus: int | None = None,
                   transversal: str = "first") -> LiftDescriptor:
-    """Classify one lift by the order of its image mod 2N."""
+    """Classify one lift by solving for its character over F2.
+
+    The certificate's image order is derived from the verdict: |H|/2 for
+    a congruence lift and |H| otherwise, H the full image mod 2N.
+    """
     n = 2 * level
-    ambient = full_image(family, level, max_modulus=max_modulus)
+    ambient_order, labels = _full_image_labels(family, level, max_modulus)
     if character.is_full_preimage:
         gens = character.generators.matrices() + (MINUS_IDENTITY,)
-        image = engine.closure([m.reduce(n).key() for m in gens], n)
-        if image.order != ambient.order:
-            raise AssertionError(
-                f"presentation generators only reach {image.order} of "
-                f"{ambient.order} elements mod {n}")
-        cert = LiftCertificate(image.order, ambient.order, n)
-        classification = "congruence"
+        cert = LiftCertificate(ambient_order, ambient_order, n)
         return LiftDescriptor(family, level, character, tuple(gens),
-                              classification, cert)
+                              "congruence", cert)
     gens = lift_generators(character, transversal=transversal)
-    # An image containing -I is stable under negation, so it is all of
-    # the full image and the closure can stop the moment -I turns up.
-    has_minus, order = engine.closure_contains(
-        [m.reduce(n).key() for m in gens], n,
-        engine.minus_identity(n))
-    if has_minus:
-        cert = LiftCertificate(ambient.order, ambient.order, n)
-        classification = "noncongruence"
-    elif 2 * order == ambient.order:
-        cert = LiftCertificate(order, ambient.order, n)
-        classification = "congruence"
+    rows = [(labels[m.reduce(n).key()], int(sign == -1))
+            for m, sign in character.signed_generators()]
+    rows.append((labels[engine.minus_identity(n)], 1))
+    if engine.f2_consistent(rows):
+        classification, image_order = "congruence", ambient_order // 2
     else:
-        raise AssertionError(
-            f"image order {order} breaks the dichotomy against "
-            f"{ambient.order} mod {n}")
+        classification, image_order = "noncongruence", ambient_order
     return LiftDescriptor(family, level, character, tuple(gens),
-                          classification, cert)
-
-
-def is_congruence(character: SignCharacter, family: str, level: int,
-                  max_modulus: int | None = None) -> bool:
-    return classify_lift(character, family, level,
-                         max_modulus=max_modulus).classification == "congruence"
+                          classification,
+                          LiftCertificate(image_order, ambient_order, n))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ pass is evidence and not an echo.
 
 verify_witness_data re-validates an exported witness JSON dict from
 scratch: the character must regenerate the recorded generator matrices
+(a propagated witness, which has no character, must instead have
+generators inside the projective group reaching the whole full image)
 and a full closure mod 2N must reproduce the certificate orders.
 """
 
@@ -20,8 +22,9 @@ from dataclasses import dataclass
 from . import counting, engine
 from .matrices import (IntegerMatrix, ResidueMatrix, crt_combine, crt_split,
                        factorize)
-from .presentation import (coset_action, farey_symbol, general_level,
-                           generator_set, index_formula)
+from .presentation import (FAMILIES as PRESENTATION_FAMILIES, coset_action,
+                           farey_symbol, general_level, generator_set,
+                           index_formula, proj_member)
 from .lifts import (SignCharacter, classify_all, full_image, lift_generators)
 
 RNG_SEED = 715
@@ -316,28 +319,106 @@ def check_property_suite(max_n: int = 24,
                   f"re-verified by full closure")
 
 
+_WITNESS_KEYS = {"kind": (str, "string"), "N": (int, "integer"),
+                 "character": (dict, "object"), "generators": (list, "array"),
+                 "classification": (str, "string"),
+                 "certificate": (dict, "object")}
+_CERTIFICATE_KEYS = ("image_order", "full_image_order", "modulus")
+
+
+def _check_witness_schema(data) -> None:
+    """Raise ValueError naming the first way `data` is not a witness dict."""
+    if not isinstance(data, dict):
+        raise ValueError(f"witness must be a JSON object, not "
+                         f"{type(data).__name__}")
+    for key, (kind, json_name) in _WITNESS_KEYS.items():
+        if key not in data:
+            raise ValueError(f"witness has no {key!r} key")
+        if not isinstance(data[key], kind) or isinstance(data[key], bool):
+            raise ValueError(f"witness {key!r} must be a JSON {json_name}, "
+                             f"got {data[key]!r}")
+    if data["kind"] not in PRESENTATION_FAMILIES:
+        raise ValueError(f"unknown witness kind {data['kind']!r}; expected "
+                         f"one of {PRESENTATION_FAMILIES}")
+    if data["N"] < 1:
+        raise ValueError(f"witness level N must be positive, got {data['N']}")
+    if "free_signs" not in data["character"]:
+        raise ValueError("witness character has no 'free_signs' key")
+    signs = data["character"]["free_signs"]
+    if not (signs is None or signs == "full" or (
+            isinstance(signs, list) and all(_is_int(x) for x in signs))):
+        raise ValueError(f"witness free_signs must be \"full\", null or a "
+                         f"list of integers, got {signs!r}")
+    for row in data["generators"]:
+        if not (isinstance(row, list) and len(row) == 4
+                and all(_is_int(x) for x in row)
+                and row[0] * row[3] - row[1] * row[2] == 1):
+            raise ValueError(f"witness generator {row!r} is not a list of "
+                             f"four integers with determinant 1")
+    for key in _CERTIFICATE_KEYS:
+        if not _is_int(data["certificate"].get(key)):
+            raise ValueError(f"witness certificate {key!r} must be an "
+                             f"integer")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def verify_witness_data(data: dict,
                         max_modulus: int | None = None) -> tuple[bool, str]:
-    """Re-validate an exported witness dict from first principles."""
+    """Re-validate an exported witness dict from first principles.
+
+    A character's witness must regenerate its recorded generators; a
+    propagated witness (free_signs null) carries no character, so each
+    recorded generator must lie in the projective group and together they
+    must reach the whole full image mod 2N.  Either way a full closure
+    mod 2N must reproduce the certificate orders.  Raises ValueError when
+    `data` does not have the witness schema.
+    """
+    _check_witness_schema(data)
     family = data["kind"]
     level = data["N"]
     signs = data["character"]["free_signs"]
     cert = data["certificate"]
+    claimed = data["classification"]
     if cert["modulus"] != 2 * level:
         return False, f"certificate modulus {cert['modulus']} is not 2N"
-    gens = generator_set(family, level)
-    if signs == "full":
-        character = SignCharacter(gens, None, is_full_preimage=True)
-        expected = list(gens.matrices()) + [IntegerMatrix(-1, 0, 0, -1)]
-    else:
-        character = SignCharacter(gens, tuple(signs))
-        expected = list(lift_generators(character))
     recorded = [IntegerMatrix(*row) for row in data["generators"]]
-    if recorded != expected:
-        return False, "recorded generators do not match the character"
+    if signs is None:
+        outside = [m.entries() for m in recorded
+                   if not proj_member(family, level, m)]
+        if outside:
+            return False, (f"recorded generator {outside[0]} lies outside "
+                           f"{family}({level})")
+    else:
+        gens = generator_set(family, level)
+        if signs == "full":
+            expected = list(gens.matrices()) + [IntegerMatrix(-1, 0, 0, -1)]
+        else:
+            expected = list(lift_generators(
+                SignCharacter(gens, tuple(signs))))
+        if recorded != expected:
+            return False, "recorded generators do not match the character"
     n = 2 * level
-    image = engine.closure([m.reduce(n).key() for m in recorded], n)
+    # full_image enforces the modulus cap before any closure runs.
     ambient = full_image(family, level, max_modulus=max_modulus)
+    image = engine.closure([m.reduce(n).key() for m in recorded], n)
+    if signs is None:
+        if image.elements != ambient.elements:
+            return False, (f"propagated generators reach {image.order} of "
+                           f"the {ambient.order} elements of the full image "
+                           f"mod {n}")
+        if cert["image_order"] != image.order or \
+                cert["full_image_order"] != image.order:
+            return False, (f"certificate orders {cert['image_order']}/"
+                           f"{cert['full_image_order']} != closure order "
+                           f"{image.order}")
+        if claimed != "noncongruence":
+            return False, (f"classification {claimed!r} contradicts a "
+                           f"propagated witness")
+        return True, (f"propagated witness re-verified: orders "
+                      f"{image.order}/{ambient.order} mod {n}")
     if ambient.order != cert["full_image_order"]:
         return False, (f"full image order {ambient.order} != certificate "
                        f"{cert['full_image_order']}")
@@ -352,8 +433,7 @@ def verify_witness_data(data: dict,
         want = "noncongruence"
     else:
         return False, f"orders {image.order}/{ambient.order} break the dichotomy"
-    claimed = data.get("classification")
-    if claimed is not None and want is not None and claimed != want:
+    if want is not None and claimed != want:
         return False, f"classification {claimed!r} contradicts orders"
     return True, f"witness re-verified: orders {image.order}/{ambient.order} mod {n}"
 

@@ -4,6 +4,7 @@ import pytest
 
 from liftlab import cli, verify
 from liftlab.counting import LiftCountReport, count_congruence_lifts_formula
+from liftlab.lifts import find_witness, propagate_witness
 
 
 def run(capsys, *argv):
@@ -102,6 +103,57 @@ def test_witness_tamper_detected(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-witness", "--in", str(path))
     assert code == 2
     assert "do not match" in out
+
+
+def test_propagated_witness_round_trip(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    code, _, _ = run(capsys, "witness", "--group", "gamma0", "--n", "36",
+                     "--out", str(path))
+    assert code == 0
+    data = json.loads(path.read_text())
+    assert data["character"]["free_signs"] is None
+    code, out, _ = run(capsys, "verify-witness", "--in", str(path))
+    assert code == 0
+    assert "propagated witness re-verified" in out
+
+
+def test_propagated_witness_tampering_detected():
+    data = json.loads(json.dumps(
+        propagate_witness(find_witness("gamma0", 6), "gamma0", 12).to_dict()))
+    assert verify.verify_witness_data(data)[0]
+    cases = {
+        "lies outside": dict(
+            data, generators=data["generators"] + [[1, 0, 1, 1]]),
+        "reach 24 of": dict(data, generators=data["generators"][:1]),
+        "!= closure order": dict(
+            data, certificate=dict(data["certificate"], image_order=1)),
+        "contradicts a propagated witness": dict(
+            data, classification="congruence"),
+    }
+    for complaint, bad in cases.items():
+        ok, message = verify.verify_witness_data(bad)
+        assert not ok and complaint in message, (complaint, message)
+
+
+@pytest.mark.parametrize("payload, complaint", [
+    ({"kind": "gamma0", "N": 6}, "no 'character' key"),
+    ({"kind": "gamma0", "N": 6, "character": {"free_signs": [1, 1, -1]},
+      "generators": "[[1, 0, 0, 1]]", "classification": "noncongruence",
+      "certificate": {"image_order": 1, "full_image_order": 1,
+                      "modulus": 12}}, "'generators' must be a JSON array"),
+    ({"kind": "gamma7", "N": 6, "character": {"free_signs": None},
+      "generators": [], "classification": "noncongruence",
+      "certificate": {"image_order": 1, "full_image_order": 1,
+                      "modulus": 12}}, "unknown witness kind 'gamma7'"),
+])
+def test_malformed_witness_file_is_usage_error(capsys, tmp_path, payload,
+                                               complaint):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify-witness", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and complaint in err
+    assert len(err.splitlines()) == 1
 
 
 def test_witness_missing_cases(capsys):

@@ -78,6 +78,27 @@ def test_closure_contains_agrees_with_closure():
                 assert order == group.order
 
 
+def test_f2_consistent_hand_built_systems():
+    assert engine.f2_consistent([])
+    assert engine.f2_consistent([(0, 0)])
+    # mask 0 with bit 1: -I inside the squares subgroup but signed -1
+    assert not engine.f2_consistent([(0, 1)])
+    assert not engine.f2_consistent([(0b1, 0), (0, 1)])
+    assert engine.f2_consistent([(0b01, 1), (0b10, 0), (0b11, 1)])
+    assert not engine.f2_consistent([(0b01, 1), (0b10, 0), (0b11, 0)])
+    # a dependency reached only after two eliminations
+    assert not engine.f2_consistent([(0b110, 1), (0b011, 0), (0b101, 0)])
+    assert engine.f2_consistent([(0b110, 1), (0b011, 0), (0b101, 1)])
+    # against every functional on F2^3
+    rng = random.Random(11)
+    for _ in range(200):
+        rows = [(rng.randrange(8), rng.randrange(2))
+                for _ in range(rng.randrange(1, 6))]
+        brute = any(all(bin(phi & mask).count("1") % 2 == bit
+                        for mask, bit in rows) for phi in range(8))
+        assert engine.f2_consistent(rows) == brute, rows
+
+
 def test_adjoin_minus_identity():
     group = engine.subgroup_by_membership("gamma1", 5, 10)
     assert not engine.contains_minus_one(group)

@@ -1,10 +1,11 @@
+import random
+
 import pytest
 
 from liftlab import engine
 from liftlab.lifts import (LiftCertificate, SignCharacter, classify_all,
                            classify_lift, enumerate_lifts, find_witness,
-                           full_image, is_congruence, lift_generators,
-                           propagate_witness)
+                           full_image, lift_generators, propagate_witness)
 from liftlab.presentation import generator_set
 
 
@@ -122,8 +123,36 @@ def test_transversal_choice_does_not_change_the_verdict():
 
 def test_is_congruence_helper():
     gens = generator_set("gamma1", 5)
-    assert is_congruence(SignCharacter(gens, (1, 1, 1)), "gamma1", 5)
-    assert not is_congruence(SignCharacter(gens, (-1, 1, 1)), "gamma1", 5)
+    assert classify_lift(SignCharacter(gens, (1, 1, 1)), "gamma1",
+                         5).classification == "congruence"
+    assert classify_lift(SignCharacter(gens, (-1, 1, 1)), "gamma1",
+                         5).classification == "noncongruence"
+
+
+def test_f2_verdicts_agree_with_closure_beyond_24():
+    # Past the property suite's N <= 24: a seeded sample of both verdicts
+    # per enumerated level, each checked by whether the kernel's
+    # generators reach -I mod 2N.
+    rng = random.Random(2011)
+    levels = [("gamma0", n) for n in range(25, 37)] + [("gamma1", 12)]
+    checked = 0
+    for family, n in levels:
+        report = classify_all(family, n)
+        if report.mode != "enumerated":
+            continue
+        proper = [d for d in report.descriptors if not d.is_full_preimage]
+        for verdict in ("congruence", "noncongruence"):
+            pool = [d for d in proper if d.classification == verdict]
+            for d in rng.sample(pool, min(3, len(pool))):
+                gens = lift_generators(d.character)
+                has_minus, _ = engine.closure_contains(
+                    [m.reduce(2 * n).key() for m in gens], 2 * n,
+                    engine.minus_identity(2 * n))
+                assert d.classification == (
+                    "noncongruence" if has_minus else "congruence"), (
+                    family, n, d.character.free_signs)
+                checked += 1
+    assert checked >= 40
 
 
 def test_counted_mode_for_large_rank():
