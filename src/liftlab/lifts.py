@@ -172,7 +172,12 @@ class LiftCertificate:
 
 @dataclass(frozen=True)
 class LiftDescriptor:
-    """One lift: its character, kernel generators, and classification."""
+    """One lift: its character, kernel generators, and classification.
+
+    A propagated witness has no character of its own; `parent` is then the
+    noncongruence lift it was pulled back from, which makes its
+    generators reproducible.
+    """
 
     family: str
     level: int
@@ -180,22 +185,28 @@ class LiftDescriptor:
     generators: tuple[IntegerMatrix, ...]
     classification: str
     certificate: LiftCertificate
+    parent: LiftDescriptor | None = None
 
     @property
     def is_full_preimage(self) -> bool:
         return self.character is not None and self.character.is_full_preimage
 
-    def to_dict(self) -> dict:
+    def _character_dict(self) -> dict:
+        """The JSON character: free signs, or the parent of a propagation."""
         if self.character is None:
-            free_signs = None
-        elif self.character.is_full_preimage:
-            free_signs = "full"
-        else:
-            free_signs = list(self.character.free_signs)
+            parent = self.parent
+            return {"free_signs": None,
+                    "parent": {"kind": parent.family, "N": parent.level,
+                               **parent._character_dict()}}
+        if self.character.is_full_preimage:
+            return {"free_signs": "full"}
+        return {"free_signs": list(self.character.free_signs)}
+
+    def to_dict(self) -> dict:
         return {
             "kind": self.family,
             "N": self.level,
-            "character": {"free_signs": free_signs},
+            "character": self._character_dict(),
             "generators": [list(m.entries()) for m in self.generators],
             "classification": self.classification,
             "certificate": self.certificate.to_dict(),
@@ -211,15 +222,33 @@ def full_image(family: str, level: int,
     return engine.adjoin_minus_identity(group)
 
 
+class _FullImage:
+    """|H|, H the full image mod 2N, and its two-quotient labels on demand.
+
+    The labels are built on the first proper lift and the group is then
+    dropped, so a level whose only lift is the full preimage never pays
+    for the two-quotient, and the cache holds one table per level.
+    """
+
+    def __init__(self, group: engine.ResidueMatrixGroup):
+        self.order = group.order
+        self._group = group
+        self._labels: dict[engine.Element, int] | None = None
+
+    def labels(self) -> dict[engine.Element, int]:
+        if self._labels is None:
+            self._labels = engine.two_quotient(self._group).labels
+            self._group = None
+        return self._labels
+
+
 @lru_cache(maxsize=1)
-def _full_image_labels(family: str, level: int, max_modulus: int | None,
-                       ) -> tuple[int, dict[engine.Element, int]]:
-    """|H| and the two-quotient labels of H, the full image mod 2N.
+def _full_image_data(family: str, level: int,
+                     max_modulus: int | None) -> _FullImage:
+    """The full image mod 2N, once per level.
 
     Also checks the fact the F2 criterion rests on: the presentation
-    generators together with -I reach every element of H.  Only the
-    labels are kept, so the cache holds one table per level, not the
-    group and its squares subgroup besides.
+    generators together with -I reach every element of H.
     """
     n = 2 * level
     ambient = full_image(family, level, max_modulus=max_modulus)
@@ -229,7 +258,7 @@ def _full_image_labels(family: str, level: int, max_modulus: int | None,
         raise AssertionError(
             f"presentation generators only reach {image.order} of "
             f"{ambient.order} elements mod {n}")
-    return ambient.order, engine.two_quotient(ambient).labels
+    return _FullImage(ambient)
 
 
 def classify_lift(character: SignCharacter, family: str, level: int,
@@ -241,23 +270,24 @@ def classify_lift(character: SignCharacter, family: str, level: int,
     a congruence lift and |H| otherwise, H the full image mod 2N.
     """
     n = 2 * level
-    ambient_order, labels = _full_image_labels(family, level, max_modulus)
+    ambient = _full_image_data(family, level, max_modulus)
     if character.is_full_preimage:
         gens = character.generators.matrices() + (MINUS_IDENTITY,)
-        cert = LiftCertificate(ambient_order, ambient_order, n)
+        cert = LiftCertificate(ambient.order, ambient.order, n)
         return LiftDescriptor(family, level, character, tuple(gens),
                               "congruence", cert)
     gens = lift_generators(character, transversal=transversal)
+    labels = ambient.labels()
     rows = [(labels[m.reduce(n).key()], int(sign == -1))
             for m, sign in character.signed_generators()]
     rows.append((labels[engine.minus_identity(n)], 1))
     if engine.f2_consistent(rows):
-        classification, image_order = "congruence", ambient_order // 2
+        classification, image_order = "congruence", ambient.order // 2
     else:
-        classification, image_order = "noncongruence", ambient_order
+        classification, image_order = "noncongruence", ambient.order
     return LiftDescriptor(family, level, character, tuple(gens),
                           classification,
-                          LiftCertificate(image_order, ambient_order, n))
+                          LiftCertificate(image_order, ambient.order, n))
 
 
 @dataclass(frozen=True)
@@ -441,4 +471,4 @@ def propagate_witness(parent: LiftDescriptor, family: str, level: int,
             f"propagated lift image has order {image.order}, expected the "
             f"full {ambient_image.order} mod {n}")
     return LiftDescriptor(family, level, None, tuple(out),
-                          "noncongruence", cert)
+                          "noncongruence", cert, parent=parent)

@@ -8,9 +8,9 @@ pass is evidence and not an echo.
 
 verify_witness_data re-validates an exported witness JSON dict from
 scratch: the character must regenerate the recorded generator matrices
-(a propagated witness, which has no character, must instead have
-generators inside the projective group reaching the whole full image)
-and a full closure mod 2N must reproduce the certificate orders.
+(a propagated witness, which has no character, names its parent lift,
+and the pull-back of that parent must regenerate them) and a full
+closure mod 2N must reproduce the certificate orders.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from .matrices import (IntegerMatrix, ResidueMatrix, crt_combine, crt_split,
                        factorize)
 from .presentation import (FAMILIES as PRESENTATION_FAMILIES, coset_action,
                            farey_symbol, general_level, generator_set,
-                           index_formula, proj_member)
-from .lifts import (SignCharacter, classify_all, full_image, lift_generators)
+                           index_formula)
+from .lifts import (LiftDescriptor, SignCharacter, classify_all, classify_lift,
+                    full_image, lift_generators, propagate_witness)
 
 RNG_SEED = 715
 
@@ -337,18 +338,8 @@ def _check_witness_schema(data) -> None:
         if not isinstance(data[key], kind) or isinstance(data[key], bool):
             raise ValueError(f"witness {key!r} must be a JSON {json_name}, "
                              f"got {data[key]!r}")
-    if data["kind"] not in PRESENTATION_FAMILIES:
-        raise ValueError(f"unknown witness kind {data['kind']!r}; expected "
-                         f"one of {PRESENTATION_FAMILIES}")
-    if data["N"] < 1:
-        raise ValueError(f"witness level N must be positive, got {data['N']}")
-    if "free_signs" not in data["character"]:
-        raise ValueError("witness character has no 'free_signs' key")
-    signs = data["character"]["free_signs"]
-    if not (signs is None or signs == "full" or (
-            isinstance(signs, list) and all(_is_int(x) for x in signs))):
-        raise ValueError(f"witness free_signs must be \"full\", null or a "
-                         f"list of integers, got {signs!r}")
+    _check_kind_and_level(data, "witness")
+    _check_character_schema(data["character"], data["N"], "witness character")
     for row in data["generators"]:
         if not (isinstance(row, list) and len(row) == 4
                 and all(_is_int(x) for x in row)
@@ -361,20 +352,66 @@ def _check_witness_schema(data) -> None:
                              f"integer")
 
 
+def _check_kind_and_level(obj: dict, where: str) -> None:
+    if obj.get("kind") not in PRESENTATION_FAMILIES:
+        raise ValueError(f"unknown {where} kind {obj.get('kind')!r}; "
+                         f"expected one of {PRESENTATION_FAMILIES}")
+    if not _is_int(obj.get("N")) or obj["N"] < 1:
+        raise ValueError(f"{where} level N must be a positive integer, "
+                         f"got {obj.get('N')!r}")
+
+
+def _check_character_schema(character: dict, level: int, where: str) -> None:
+    """Free signs, or (free_signs null) the parent a propagation came from."""
+    if "free_signs" not in character:
+        raise ValueError(f"{where} has no 'free_signs' key")
+    signs = character["free_signs"]
+    if not (signs is None or signs == "full" or (
+            isinstance(signs, list) and all(_is_int(x) for x in signs))):
+        raise ValueError(f"{where} free_signs must be \"full\", null or a "
+                         f"list of integers, got {signs!r}")
+    if signs is not None:
+        return
+    parent = character.get("parent")
+    if not isinstance(parent, dict):
+        raise ValueError(f"{where} with null free_signs must name the "
+                         f"'parent' lift it was propagated from")
+    _check_kind_and_level(parent, "witness parent")
+    if parent["N"] == level or level % parent["N"]:
+        raise ValueError(f"witness parent level {parent['N']} is not a "
+                         f"proper divisor of {level}")
+    if parent.get("free_signs") == "full":
+        raise ValueError("a witness parent cannot be the full preimage")
+    _check_character_schema(parent, parent["N"], "witness parent")
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _rebuild_lift(family: str, level: int, character: dict,
+                  max_modulus: int | None) -> LiftDescriptor:
+    """The lift a witness parent names: classified, or propagated again."""
+    signs = character["free_signs"]
+    if signs is None:
+        parent = character["parent"]
+        return propagate_witness(
+            _rebuild_lift(parent["kind"], parent["N"], parent, max_modulus),
+            family, level, max_modulus=max_modulus)
+    return classify_lift(SignCharacter(generator_set(family, level),
+                                       tuple(signs)),
+                         family, level, max_modulus=max_modulus)
 
 
 def verify_witness_data(data: dict,
                         max_modulus: int | None = None) -> tuple[bool, str]:
     """Re-validate an exported witness dict from first principles.
 
-    A character's witness must regenerate its recorded generators; a
-    propagated witness (free_signs null) carries no character, so each
-    recorded generator must lie in the projective group and together they
-    must reach the whole full image mod 2N.  Either way a full closure
-    mod 2N must reproduce the certificate orders.  Raises ValueError when
-    `data` does not have the witness schema.
+    The recorded generators must be the ones the character regenerates:
+    the kernel generators of its signs, or for a propagated witness (free
+    signs null) the pull-back of its parent lift, rebuilt the same way.
+    A full closure mod 2N must then reproduce the certificate orders.
+    Raises ValueError when `data` does not have the witness schema.
     """
     _check_witness_schema(data)
     family = data["kind"]
@@ -384,13 +421,16 @@ def verify_witness_data(data: dict,
     claimed = data["classification"]
     if cert["modulus"] != 2 * level:
         return False, f"certificate modulus {cert['modulus']} is not 2N"
-    recorded = [IntegerMatrix(*row) for row in data["generators"]]
+    n = 2 * level
+    # full_image enforces the modulus cap before any closure runs; every
+    # parent level divides N, so no rebuild below can exceed it.
+    ambient = full_image(family, level, max_modulus=max_modulus)
     if signs is None:
-        outside = [m.entries() for m in recorded
-                   if not proj_member(family, level, m)]
-        if outside:
-            return False, (f"recorded generator {outside[0]} lies outside "
-                           f"{family}({level})")
+        try:
+            expected = list(_rebuild_lift(family, level, data["character"],
+                                          max_modulus).generators)
+        except ValueError as exc:
+            return False, f"the propagation cannot be rebuilt: {exc}"
     else:
         gens = generator_set(family, level)
         if signs == "full":
@@ -398,27 +438,10 @@ def verify_witness_data(data: dict,
         else:
             expected = list(lift_generators(
                 SignCharacter(gens, tuple(signs))))
-        if recorded != expected:
-            return False, "recorded generators do not match the character"
-    n = 2 * level
-    # full_image enforces the modulus cap before any closure runs.
-    ambient = full_image(family, level, max_modulus=max_modulus)
+    recorded = [IntegerMatrix(*row) for row in data["generators"]]
+    if recorded != expected:
+        return False, "recorded generators do not match the character"
     image = engine.closure([m.reduce(n).key() for m in recorded], n)
-    if signs is None:
-        if image.elements != ambient.elements:
-            return False, (f"propagated generators reach {image.order} of "
-                           f"the {ambient.order} elements of the full image "
-                           f"mod {n}")
-        if cert["image_order"] != image.order or \
-                cert["full_image_order"] != image.order:
-            return False, (f"certificate orders {cert['image_order']}/"
-                           f"{cert['full_image_order']} != closure order "
-                           f"{image.order}")
-        if claimed != "noncongruence":
-            return False, (f"classification {claimed!r} contradicts a "
-                           f"propagated witness")
-        return True, (f"propagated witness re-verified: orders "
-                      f"{image.order}/{ambient.order} mod {n}")
     if ambient.order != cert["full_image_order"]:
         return False, (f"full image order {ambient.order} != certificate "
                        f"{cert['full_image_order']}")

@@ -243,7 +243,9 @@ def test_descriptor_to_dict_schema():
     cert = LiftCertificate.from_dict(proper["certificate"])
     assert cert == report.descriptors[1].certificate
     propagated = propagate_witness(find_witness("gamma0", 6), "gamma0", 12)
-    assert propagated.to_dict()["character"]["free_signs"] is None
+    assert propagated.to_dict()["character"] == {
+        "free_signs": None,
+        "parent": {"kind": "gamma0", "N": 6, "free_signs": [1, 1, -1]}}
 
 
 def test_report_to_dict():
