@@ -85,17 +85,6 @@ def _require_level(level: int) -> None:
         raise ValueError(f"level must be a positive integer, got {level}")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    q = 2
-    while q * q <= p:
-        if p % q == 0:
-            return False
-        q += 1
-    return True
-
-
 def count_congruence_lifts_formula(family: str, level: int) -> LiftCountReport:
     """Closed-form count of congruence lifts. Exact big integers throughout."""
     _require_level(level)
@@ -174,7 +163,8 @@ def count_codim1_avoiding(p: int, d: int, via: str = "formula") -> int:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if not _is_prime(p):
+    # an odd prime factors as p^1
+    if p != 2 and (p < 2 or factorize(p).odd_factors != ((p, 1),)):
         raise ValueError(f"p must be prime, got {p}")
     if via == "formula":
         return p ** (d - 1)

@@ -324,7 +324,10 @@ class ClassificationReport:
         }
 
 
-@lru_cache(maxsize=None)
+# `liftlab verify` at its default scale classifies gamma0 and gamma1 at
+# N <= 24 twice (the predicate check, then the certificate audit), which
+# is 48 reports; a smaller LRU cache would redo every one of them.
+@lru_cache(maxsize=48)
 def _classify_all_cached(family: str, level: int, enumeration_cap: int,
                          max_modulus: int | None) -> ClassificationReport:
     generators = generator_set(family, level)
@@ -432,14 +435,14 @@ def propagate_witness(parent: LiftDescriptor, family: str, level: int,
     key = _coset_key_fn(family, level)
     ambient = parent.generators
     reps: list[IntegerMatrix] = [IntegerMatrix(1, 0, 0, 1)]
-    index_of = {key(reps[0]): 0}
+    index_of = {key(0, 1): 0}
     queue = [0]
     edges: dict[tuple[int, int], int] = {}
     while queue:
         i = queue.pop()
         for g_pos, g in enumerate(ambient):
             image = reps[i] * g
-            k = key(image)
+            k = key(image.c, image.d)
             j = index_of.get(k)
             if j is None:
                 j = len(reps)

@@ -7,12 +7,15 @@ S*T-permutation), cusp widths off the T-cycles, and the free rank of the
 group's presentation from index and torsion alone.
 
 The generator route: a Farey symbol is grown from the seed sequence
--infty, 0, +infty by testing each unlabeled side for an even or odd
-self-pairing or a free pairing against another unlabeled side, inserting
-the mediant whenever no label fits.  Every candidate pairing matrix is
-validated by its endpoint action and by the projective membership
-predicate before it is accepted, so the construction never trusts a
-formula it cannot check.
+-infty, 0, +infty by testing the leftmost unlabeled side for an even or
+odd self-pairing or a free pairing with another unlabeled side,
+inserting the mediant whenever no label fits.  Free partners are looked
+up by coset key instead of scanned: the free candidate below lies in the
+group exactly when two bottom rows share a key (see `farey_symbol`), so
+the construction stays near-linear in the number of sides.  Every
+candidate pairing matrix is validated by its endpoint action and by the
+projective membership predicate before it is accepted, so the
+construction never trusts a formula it cannot check.
 
 Side-pairing candidates for a side from a1/b1 to a2/b2 (consecutive
 entries satisfy a2*b1 - a1*b2 = 1; infinities are carried as (-1, 0) and
@@ -26,7 +29,10 @@ entries satisfy a2*b1 - a1*b2 = 1; infinities are carried as (-1, 0) and
 * free, onto the side from a3/b3 to a4/b4:
          [[-(a4*b2 + a3*b1), a4*a2 + a3*a1],
           [-(b4*b2 + b3*b1), a2*b4 + a1*b3]]
-  carries endpoints 1, 2 onto endpoints 4, 3 (orientation-reversing).
+  carries endpoints 1, 2 onto endpoints 4, 3 (orientation-reversing);
+  it is -M' * S * M^-1 with M = [[a2, a1], [b2, b1]] and
+  M' = [[a4, a3], [b4, b3]], so it is in the group exactly when the
+  bottom rows (b3, -b4) and (b2, b1) lie in the same right coset.
 
 For level at most 3 the degree-1 family equals the degree-0 family
 projectively, so those requests are delegated to the gamma0 path.
@@ -37,7 +43,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 from .matrices import IDENTITY, S, T, IntegerMatrix, factorize
 
@@ -72,26 +78,36 @@ def proj_member(family: str, level: int, m: IntegerMatrix) -> bool:
 
 
 def _coset_key_fn(family: str, level: int):
-    """Canonical label for the coset of a matrix.
+    """Canonical label for the right coset with bottom row (c, d).
 
     Two matrices lie in the same right coset exactly when their bottom
     rows mod N agree up to a unit factor (gamma0) or up to sign (gamma1);
-    both follow from the determinant being 1.
+    both follow from the determinant being 1.  A gamma0 class is keyed
+    without running over the units: with g = gcd(c, N) and u a unit
+    with u*c = g mod N, the row is equivalent to (g, u*d), and the units
+    fixing g are those = 1 mod N/g.  Because gcd(d, g) = 1, they carry
+    u*d exactly onto the residues mod N that agree with it mod N/g and
+    are prime to g, so (g, u*d mod N/g) is a complete key, and u only
+    matters mod N/g, where it is the inverse of c/g.  (g, N/g, u) is
+    cached per residue c.
     """
     n = level
     if n == 1:
-        return lambda m: (0, 0)
+        return lambda c, d: (0, 0)
     family = _normalize_family(family, level)
     if family == "gamma0":
-        units = tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
+        by_residue = []
+        for c in range(n):
+            g = math.gcd(c, n)
+            by_residue.append((g, n // g, pow(c // g, -1, n // g)))
 
-        def key(m: IntegerMatrix):
-            c, d = m.c % n, m.d % n
-            return min((u * c % n, u * d % n) for u in units)
+        def key(c: int, d: int):
+            g, width, u = by_residue[c % n]
+            return g, u * d % width
     else:
 
-        def key(m: IntegerMatrix):
-            c, d = m.c % n, m.d % n
+        def key(c: int, d: int):
+            c, d = c % n, d % n
             return min((c, d), (-c % n, -d % n))
 
     return key
@@ -119,7 +135,7 @@ def build_coset_action(family: str, level: int,
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
     key = _coset_key_fn(family, level)
-    index_of: dict[tuple, int] = {key(IDENTITY): 0}
+    index_of: dict[tuple, int] = {key(0, 1): 0}
     reps: list[IntegerMatrix] = [IDENTITY]
     queue = deque([0])
     edges: list[list[int | None]] = [[None, None]]
@@ -127,7 +143,7 @@ def build_coset_action(family: str, level: int,
         i = queue.popleft()
         for slot, step in ((0, S), (1, T)):
             image = reps[i] * step
-            k = key(image)
+            k = key(image.c, image.d)
             j = index_of.get(k)
             if j is None:
                 j = len(reps)
@@ -271,6 +287,11 @@ def _proj_key(m: IntegerMatrix) -> tuple:
     return min(m.entries(), (-m).entries())
 
 
+# Sides in the order of their left endpoints a/b; only (-1, 0) has b = 0.
+_LEFT_TO_RIGHT = cmp_to_key(
+    lambda s, t: s[0][0] * t[0][1] - t[0][0] * s[0][1])
+
+
 @dataclass(frozen=True)
 class FareySymbol:
     """A labeled unimodular fraction sequence presenting the group.
@@ -335,16 +356,29 @@ def farey_symbol(family: str, level: int,
     """Grow a Farey symbol for the projective group by mediant refinement.
 
     Deterministic: always works on the leftmost unlabeled side, tries an
-    even self-pairing, then an odd one, then free pairings against the
-    other unlabeled sides left to right, and otherwise splits the side at
-    its mediant.  A matrix (up to sign and inversion) is never accepted
-    for two different sides.
+    even self-pairing, then an odd one, then a free pairing with the
+    leftmost unlabeled side that passes every check, and otherwise splits
+    the side at its mediant.  A matrix (up to sign and inversion) is
+    never accepted for two different sides.
+
+    Free partners are looked up, not scanned.  The free candidate for
+    the side x -> y onto the side w -> z is -M_w * S * M_x^-1 with
+    M_x = [[a2, a1], [b2, b1]] and M_w = [[a4, a3], [b4, b3]], so it lies
+    in the projective group exactly when the bottom rows (b3, -b4) of
+    M_w * S and (b2, b1) of M_x have the same coset key.  The unlabeled
+    sides are bucketed by the key of (b3, -b4), and side x -> y tries
+    only the bucket of (b2, b1), left to right, with every check of a
+    scan, so it accepts the partner a scan would.  Past level 1 a bucket
+    holds at most one side: a group element carrying one onto another
+    would carry the grown region's triangle on the first onto its
+    triangle on the second, and those triangles are inequivalent.
     """
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
     eff = _normalize_family(family, level)
     if max_sides is None:
         max_sides = max(64, 4 * index_formula(eff, level))
+    key = _coset_key_fn(eff, level)
 
     def member(m: IntegerMatrix) -> bool:
         return proj_member(eff, level, m)
@@ -353,17 +387,34 @@ def farey_symbol(family: str, level: int,
     labels: list[str | int | None] = [None, None]
     used: set[tuple] = set()
     next_pair_id = 1
+    # unlabeled sides (w, z), by the coset key of the bottom row (b3, -b4)
+    unlabeled: dict[tuple, set[tuple[Fraction2, Fraction2]]] = {}
+
+    def partner_key(side: tuple[Fraction2, Fraction2]) -> tuple:
+        (_, b3), (_, b4) = side
+        return key(b3, -b4)
+
+    def add(side: tuple[Fraction2, Fraction2]) -> None:
+        unlabeled.setdefault(partner_key(side), set()).add(side)
+
+    def remove(side: tuple[Fraction2, Fraction2]) -> None:
+        unlabeled[partner_key(side)].remove(side)
 
     def accept(matrix: IntegerMatrix) -> None:
         used.add(_proj_key(matrix))
         used.add(_proj_key(matrix.inverse()))
 
+    add((fractions[0], fractions[1]))
+    add((fractions[1], fractions[2]))
+    i = 0
     while True:
+        # the leftmost unlabeled side never moves left
         try:
-            i = labels.index(None)
+            i = labels.index(None, i)
         except ValueError:
             break
         x, y = fractions[i], fractions[i + 1]
+        side = (x, y)
 
         even = _even_candidate(x, y)
         if member(even) and _proj_key(even) not in used:
@@ -371,6 +422,7 @@ def farey_symbol(family: str, level: int,
                 raise AssertionError(f"even candidate fails endpoint check on {x}, {y}")
             labels[i] = "even"
             accept(even)
+            remove(side)
             continue
 
         odd = _odd_candidate(x, y)
@@ -379,33 +431,42 @@ def farey_symbol(family: str, level: int,
                 raise AssertionError(f"odd candidate fails endpoint check on {x}, {y}")
             labels[i] = "odd"
             accept(odd)
+            remove(side)
             continue
 
-        paired = False
-        for j in range(i + 1, len(labels)):
-            if labels[j] is not None:
-                continue
-            w, z = fractions[j], fractions[j + 1]
-            g = _free_candidate((x, y), (w, z))
+        # side i itself may be among them: its free candidate is the even
+        # one, of trace 0
+        candidates = unlabeled.get(key(y[1], x[1]), ())
+        for other in sorted(candidates, key=_LEFT_TO_RIGHT):
+            g = _free_candidate(side, other)
             if abs(g.trace) < 2 or g.proj_eq(IDENTITY):
                 continue
-            if member(g) and _proj_key(g) not in used:
+            if not member(g):
+                raise AssertionError(
+                    f"free candidate onto {other} has a matching coset key "
+                    f"but fails the membership predicate")
+            if _proj_key(g) not in used:
+                w, z = other
+                j = fractions.index(w, i + 1)
                 if not (_proj_maps(g, x, z) and _proj_maps(g, y, w)):
                     raise AssertionError(
                         f"free candidate fails endpoint check on sides {i}, {j}")
                 labels[i] = labels[j] = next_pair_id
                 next_pair_id += 1
                 accept(g)
-                paired = True
+                remove(side)
+                remove(other)
                 break
-        if paired:
-            continue
-
-        fractions.insert(i + 1, _mediant(x, y))
-        labels.insert(i, None)
-        if len(labels) > max_sides:
-            raise RuntimeError(
-                f"refinement for {family}({level}) exceeded {max_sides} sides")
+        else:
+            mediant = _mediant(x, y)
+            fractions.insert(i + 1, mediant)
+            labels.insert(i, None)
+            remove(side)
+            add((x, mediant))
+            add((mediant, y))
+            if len(labels) > max_sides:
+                raise RuntimeError(f"refinement for {family}({level}) "
+                                   f"exceeded {max_sides} sides")
 
     symbol = FareySymbol(family, level, tuple(fractions), tuple(labels))
     symbol.validate()

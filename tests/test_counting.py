@@ -95,8 +95,9 @@ def test_codim1_counts():
 
 
 def test_codim1_rejections():
-    with pytest.raises(ValueError):
-        counting.count_codim1_avoiding(4, 2)
+    for composite in (-3, 0, 1, 4, 9, 15, 49):
+        with pytest.raises(ValueError, match="must be prime"):
+            counting.count_codim1_avoiding(composite, 2)
     with pytest.raises(ValueError):
         counting.count_codim1_avoiding(2, 0)
     with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
-from liftlab import engine
-from liftlab.matrices import IntegerMatrix
+from liftlab import engine, presentation
+from liftlab.matrices import IDENTITY, IntegerMatrix
 from liftlab.presentation import (GeneratorSet, IndexBoundExceeded,
                                   build_coset_action, coset_action,
                                   cusp_widths, elliptic_counts, farey_symbol,
@@ -195,3 +196,110 @@ def test_coset_action_structure():
 def test_index_bound():
     with pytest.raises(IndexBoundExceeded):
         build_coset_action("gamma0", 6, max_index=5)
+
+
+def scan_farey_symbol(family, level):
+    """The quadratic construction: free partners by a left-to-right scan.
+
+    Kept here only as the oracle for the hashed partner lookup.
+    """
+    eff = presentation._normalize_family(family, level)
+    fractions = [(-1, 0), (0, 1), (1, 0)]
+    labels = [None, None]
+    used = set()
+    next_pair_id = 1
+
+    def usable(m):
+        return proj_member(eff, level, m) and \
+            presentation._proj_key(m) not in used
+
+    def accept(m):
+        used.add(presentation._proj_key(m))
+        used.add(presentation._proj_key(m.inverse()))
+
+    while None in labels:
+        i = labels.index(None)
+        x, y = fractions[i], fractions[i + 1]
+        even = presentation._even_candidate(x, y)
+        if usable(even):
+            labels[i] = "even"
+            accept(even)
+            continue
+        odd = presentation._odd_candidate(x, y)
+        if usable(odd):
+            labels[i] = "odd"
+            accept(odd)
+            continue
+        for j in range(i + 1, len(labels)):
+            if labels[j] is not None:
+                continue
+            g = presentation._free_candidate(
+                (x, y), (fractions[j], fractions[j + 1]))
+            if abs(g.trace) < 2 or g.proj_eq(IDENTITY):
+                continue
+            if usable(g):
+                labels[i] = labels[j] = next_pair_id
+                next_pair_id += 1
+                accept(g)
+                break
+        else:
+            fractions.insert(i + 1, presentation._mediant(x, y))
+            labels.insert(i, None)
+    return tuple(fractions), tuple(labels)
+
+
+def test_farey_symbol_matches_the_scan():
+    cases = [("gamma0", n) for n in range(1, 61)]
+    cases += [("gamma1", n) for n in range(1, 31)] + [("gamma1", 40)]
+    for family, n in cases:
+        symbol = farey_symbol(family, n)
+        assert (symbol.fractions, symbol.labels) == \
+            scan_farey_symbol(family, n), (family, n)
+
+
+def unit_orbit_key_fn(family, level):
+    """The gamma0 key as the minimum over all unit multiples of the row."""
+    units = [u for u in range(1, level) if math.gcd(u, level) == 1]
+
+    def key(c, d):
+        return min((u * c % level, u * d % level) for u in units)
+    return key
+
+
+def test_gamma0_key_partitions_like_the_unit_orbits():
+    for n in range(1, 61):
+        key = presentation._coset_key_fn("gamma0", n)
+        units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+        class_of = {}
+        new_key_of_class = {}
+        for c in range(n):
+            for d in range(n):
+                if math.gcd(math.gcd(c, d), n) != 1 or (c, d) in class_of:
+                    continue
+                orbit = {(u * c % n, u * d % n) for u in units}
+                class_id = len(new_key_of_class)
+                new_key_of_class[class_id] = key(c, d)
+                for row in orbit:
+                    class_of[row] = class_id
+        for (c, d), class_id in class_of.items():
+            assert key(c, d) == new_key_of_class[class_id], (n, c, d)
+        assert len(set(new_key_of_class.values())) == len(new_key_of_class)
+        assert len(new_key_of_class) == index_formula("gamma0", n), n
+
+
+def test_coset_representatives_unchanged_by_the_gamma0_key(monkeypatch):
+    new = {n: build_coset_action("gamma0", n) for n in (12, 30, 60)}
+    monkeypatch.setattr(presentation, "_coset_key_fn", unit_orbit_key_fn)
+    for n, action in new.items():
+        old = build_coset_action("gamma0", n)
+        assert action.representatives == old.representatives, n
+        assert (action.s_perm, action.t_perm) == (old.s_perm, old.t_perm)
+
+
+def test_gamma1_presentation_at_level_100():
+    gens = generator_set("gamma1", 100)
+    action = coset_action("gamma1", 100)
+    assert (gens.index, gens.rank, gens.e2, gens.e3) == (3600, 601, 0, 0)
+    assert action.degree == gens.index
+    assert elliptic_counts(action) == (gens.e2, gens.e3)
+    assert free_rank(action.degree, 0, 0) == gens.rank
