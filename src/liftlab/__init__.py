@@ -8,8 +8,6 @@ from .matrices import (
     FactorizationProfile,
     IntegerMatrix,
     ResidueMatrix,
-    crt_combine,
-    crt_split,
     factorize,
     multiply,
     reduce,
@@ -25,8 +23,6 @@ __all__ = [
     "FactorizationProfile",
     "IntegerMatrix",
     "ResidueMatrix",
-    "crt_combine",
-    "crt_split",
     "factorize",
     "multiply",
     "reduce",

@@ -231,16 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
                                  "projective congruence groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, groups, need_n=True):
-        p.add_argument("--group", required=True, choices=groups)
-        if need_n:
-            p.add_argument("--n", required=True,
-                           help="level k or inclusive range a..b")
+    def add_common(p):
+        p.add_argument("--group", required=True, choices=counting.FAMILIES)
+        p.add_argument("--n", required=True,
+                       help="level k or inclusive range a..b")
         p.add_argument("--max-modulus", type=int, default=None)
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("count", help="congruence lift counts")
-    add_common(p, ("gamma0", "gamma1", "gamma"))
+    add_common(p)
     p.add_argument("--mode", choices=("formula", "engine", "both"),
                    default="both")
     p.add_argument("--format", choices=("table", "json", "csv"),
@@ -248,17 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("classify", help="classify every lift of a level")
-    add_common(p, ("gamma0", "gamma1", "gamma"))
+    add_common(p)
     p.add_argument("--format", choices=("table", "json", "csv"),
                    default="table")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("witness", help="export one noncongruence lift")
-    add_common(p, ("gamma0", "gamma1", "gamma"))
+    add_common(p)
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("presentation", help="Farey-symbol generators")
-    add_common(p, ("gamma0", "gamma1", "gamma"))
+    add_common(p)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(fn=cmd_presentation)
 

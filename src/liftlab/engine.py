@@ -20,9 +20,9 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
-from .matrices import FactorizationProfile, ResidueMatrix, factorize
+from .matrices import factorize
 
 DEFAULT_MAX_MODULUS = 96
 
@@ -111,37 +111,32 @@ class ResidueMatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: Element | ResidueMatrix) -> bool:
-        if isinstance(x, ResidueMatrix):
-            if x.modulus != self.modulus:
-                raise ValueError(
-                    f"mixed moduli {x.modulus} and {self.modulus}")
-            return x.key() in self.elements
-        return x in self.elements
 
-    def matrices(self) -> Iterator[ResidueMatrix]:
-        n = self.modulus
-        for e in sorted(self.elements):
-            yield ResidueMatrix(n, *e)
-
-
-def closure(generators: Iterable[Element], n: int) -> ResidueMatrixGroup:
-    """Subgroup generated by the given elements (BFS product closure).
-
-    In a finite group, the set reachable from the identity by right
-    multiplication with generators is already closed under inverses, so
-    no inverse generators are needed.
-    """
-    gens = []
-    seen_gens = set()
+def _generators_mod(generators: Iterable[Element], n: int) -> list[Element]:
+    """Generators reduced mod n and checked for determinant 1, repeats dropped."""
+    gens: list[Element] = []
+    seen = set()
     for g in generators:
         g = tuple(e % n for e in g)
         if (g[0] * g[3] - g[1] * g[2]) % n != 1 % n:
             raise ValueError(f"generator {g} has determinant != 1 mod {n}")
-        if g not in seen_gens:
-            seen_gens.add(g)
+        if g not in seen:
+            seen.add(g)
             gens.append(g)
+    return gens
+
+
+def _bfs(gens: list[Element], n: int,
+         target: Element | None = None) -> set[Element] | None:
+    """Elements reachable from the identity by right multiplication.
+
+    In a finite group this set is already closed under inverses, so no
+    inverse generators are needed.  Returns None as soon as `target` is
+    reached (the identity counts as reached at once).
+    """
     start = identity(n)
+    if start == target:
+        return None
     elements = {start}
     queue = deque([start])
     while queue:
@@ -149,9 +144,17 @@ def closure(generators: Iterable[Element], n: int) -> ResidueMatrixGroup:
         for g in gens:
             y = mul(x, g, n)
             if y not in elements:
+                if y == target:
+                    return None
                 elements.add(y)
                 queue.append(y)
-    return ResidueMatrixGroup(n, frozenset(elements), tuple(gens))
+    return elements
+
+
+def closure(generators: Iterable[Element], n: int) -> ResidueMatrixGroup:
+    """Subgroup generated by the given elements (BFS product closure)."""
+    gens = _generators_mod(generators, n)
+    return ResidueMatrixGroup(n, frozenset(_bfs(gens, n)), tuple(gens))
 
 
 def closure_contains(generators: Iterable[Element], n: int,
@@ -163,27 +166,9 @@ def closure_contains(generators: Iterable[Element], n: int,
     and the full order of the generated subgroup is known.
     """
     target = tuple(e % n for e in target)
-    gens = []
-    for g in generators:
-        g = tuple(e % n for e in g)
-        if (g[0] * g[3] - g[1] * g[2]) % n != 1 % n:
-            raise ValueError(f"generator {g} has determinant != 1 mod {n}")
-        if g not in gens:
-            gens.append(g)
-    start = identity(n)
-    if target == start:
+    elements = _bfs(_generators_mod(generators, n), n, target)
+    if elements is None:
         return True, None
-    elements = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = mul(x, g, n)
-            if y not in elements:
-                if y == target:
-                    return True, None
-                elements.add(y)
-                queue.append(y)
     return False, len(elements)
 
 

@@ -37,9 +37,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from . import counting, engine
-from .matrices import MINUS_IDENTITY, IntegerMatrix
+from .matrices import IDENTITY, MINUS_IDENTITY, IntegerMatrix
 from .presentation import GeneratorSet, _coset_key_fn, generator_set, \
     index_formula, proj_member
 
@@ -103,14 +104,30 @@ def enumerate_lifts(generators: GeneratorSet) -> list[SignCharacter]:
     return lifts
 
 
-def lift_generators(character: SignCharacter,
-                    transversal: str = "first") -> tuple[IntegerMatrix, ...]:
+def _schreier_filter(candidates: Iterable[IntegerMatrix]) -> list[IntegerMatrix]:
+    """Drop the identity, repeats and inverses of earlier matrices.
+
+    Candidates are compared by entry tuples, so testing one builds no
+    matrix.
+    """
+    out: list[IntegerMatrix] = []
+    seen = {IDENTITY.entries()}
+    for m in candidates:
+        a, b, c, d = key = m.entries()
+        if key in seen or (d, -b, -c, a) in seen:
+            continue
+        seen.add(key)
+        out.append(m)
+    return out
+
+
+def lift_generators(character: SignCharacter) -> tuple[IntegerMatrix, ...]:
     """Generators of the index-2 kernel of a sign character.
 
     Schreier generators over the two cosets {kernel, w*kernel}, where the
-    transversal element w is the first free generator of sign -1 (or the
-    last, for cross-checking) and -I when every sign is +1.  For each
-    generator x of the full preimage, including -I:
+    transversal element w is the first free generator of sign -1 and -I
+    when every sign is +1.  For each generator x of the full preimage,
+    including -I:
 
         sign +1:  emit x and w*x*w^(-1)
         sign -1:  emit x*w^(-1) and w*x
@@ -120,35 +137,12 @@ def lift_generators(character: SignCharacter,
     if character.is_full_preimage:
         raise ValueError("the full preimage is generated by the presentation "
                          "generators together with -I; no kernel to take")
-    if transversal not in ("first", "last"):
-        raise ValueError(f"transversal must be 'first' or 'last', got {transversal!r}")
-    signed = list(character.signed_generators())
-    negatives = [m for m, sign in signed if sign == -1]
-    if negatives:
-        w = negatives[0] if transversal == "first" else negatives[-1]
-    else:
-        w = MINUS_IDENTITY
+    signed = list(character.signed_generators()) + [(MINUS_IDENTITY, -1)]
+    w = next(m for m, sign in signed if sign == -1)
     w_inv = w.inverse()
-    out: list[IntegerMatrix] = []
-    seen: set[tuple] = set()
-
-    def emit(m: IntegerMatrix) -> None:
-        key = m.entries()
-        if m == IntegerMatrix(1, 0, 0, 1):
-            return
-        if key in seen or m.inverse().entries() in seen:
-            return
-        seen.add(key)
-        out.append(m)
-
-    for x, sign in signed + [(MINUS_IDENTITY, -1)]:
-        if sign == 1:
-            emit(x)
-            emit(w * x * w_inv)
-        else:
-            emit(x * w_inv)
-            emit(w * x)
-    return tuple(out)
+    pairs = [(x, w * x * w_inv) if sign == 1 else (x * w_inv, w * x)
+             for x, sign in signed]
+    return tuple(_schreier_filter(m for pair in pairs for m in pair))
 
 
 @dataclass(frozen=True)
@@ -262,8 +256,7 @@ def _full_image_data(family: str, level: int,
 
 
 def classify_lift(character: SignCharacter, family: str, level: int,
-                  max_modulus: int | None = None,
-                  transversal: str = "first") -> LiftDescriptor:
+                  max_modulus: int | None = None) -> LiftDescriptor:
     """Classify one lift by solving for its character over F2.
 
     The certificate's image order is derived from the verdict: |H|/2 for
@@ -276,7 +269,7 @@ def classify_lift(character: SignCharacter, family: str, level: int,
         cert = LiftCertificate(ambient.order, ambient.order, n)
         return LiftDescriptor(family, level, character, tuple(gens),
                               "congruence", cert)
-    gens = lift_generators(character, transversal=transversal)
+    gens = lift_generators(character)
     labels = ambient.labels()
     rows = [(labels[m.reduce(n).key()], int(sign == -1))
             for m, sign in character.signed_generators()]
@@ -434,7 +427,7 @@ def propagate_witness(parent: LiftDescriptor, family: str, level: int,
         parent.family, parent.level)
     key = _coset_key_fn(family, level)
     ambient = parent.generators
-    reps: list[IntegerMatrix] = [IntegerMatrix(1, 0, 0, 1)]
+    reps: list[IntegerMatrix] = [IDENTITY]
     index_of = {key(0, 1): 0}
     queue = [0]
     edges: dict[tuple[int, int], int] = {}
@@ -453,18 +446,11 @@ def propagate_witness(parent: LiftDescriptor, family: str, level: int,
     if len(reps) != subindex:
         raise AssertionError(
             f"coset walk found {len(reps)} cosets, expected {subindex}")
-    out: list[IntegerMatrix] = []
-    seen: set[tuple] = set()
-    for (i, g_pos), j in sorted(edges.items()):
-        schreier = reps[i] * ambient[g_pos] * reps[j].inverse()
-        if schreier == IntegerMatrix(1, 0, 0, 1):
-            continue
-        if schreier.entries() in seen or schreier.inverse().entries() in seen:
-            continue
-        if not proj_member(family, level, schreier):
+    out = _schreier_filter(reps[i] * ambient[g_pos] * reps[j].inverse()
+                           for (i, g_pos), j in sorted(edges.items()))
+    for m in out:
+        if not proj_member(family, level, m):
             raise AssertionError("Schreier generator escapes the subgroup")
-        seen.add(schreier.entries())
-        out.append(schreier)
     n = 2 * level
     ambient_image = full_image(family, level, max_modulus=max_modulus)
     image = engine.closure([m.reduce(n).key() for m in out], n)

@@ -2,16 +2,16 @@
 
 Matrices are stored entrywise (row-major: a, b, c, d).  Integer matrices
 use Python's arbitrary-precision integers, so long generator words never
-overflow.  Residue matrices keep their entries as least nonnegative
-residues, which makes the 4-tuple (a, b, c, d) a canonical encoding:
-equality, hashing and set membership are exact.
+overflow.  Reducing mod n gives a validated residue matrix whose entries
+are least nonnegative residues; its `key()` is the canonical 4-tuple
+(a, b, c, d) that `engine` computes with, so all arithmetic mod n happens
+there, on the tuples.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +81,11 @@ def word(letters: Iterable[IntegerMatrix]) -> IntegerMatrix:
 
 @dataclass(frozen=True, slots=True)
 class ResidueMatrix:
-    """A 2x2 matrix over Z/n with determinant 1, entries in [0, n)."""
+    """A 2x2 matrix over Z/n with determinant 1, entries in [0, n).
+
+    A checked value only: `key()` hands its entries to `engine`, which
+    does the group arithmetic on the tuples.
+    """
 
     modulus: int
     a: int
@@ -97,22 +101,6 @@ class ResidueMatrix:
             object.__setattr__(self, name, getattr(self, name) % n)
         if (self.a * self.d - self.b * self.c) % n != 1 % n:
             raise ValueError(f"determinant not 1 mod {n}")
-
-    def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"mixed moduli {self.modulus} and {other.modulus}")
-        n = self.modulus
-        return ResidueMatrix(
-            n,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "ResidueMatrix":
-        return ResidueMatrix(self.modulus, self.d, -self.b, -self.c, self.a)
 
     def key(self) -> tuple[int, int, int, int]:
         """Canonical 4-tuple encoding (least nonnegative residues)."""
@@ -161,11 +149,6 @@ class FactorizationProfile:
     def odd_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.odd_factors)
 
-    def crt_moduli(self) -> tuple[int, ...]:
-        """Pairwise coprime moduli multiplying to 2N: 2^(s+1) and the p^si."""
-        return (2 ** (self.two_exponent + 1),) + tuple(
-            p ** e for p, e in self.odd_factors)
-
 
 def factorize(n: int) -> FactorizationProfile:
     """Factor a positive integer by trial division."""
@@ -189,34 +172,3 @@ def factorize(n: int) -> FactorizationProfile:
     if m > 1:
         odd.append((m, 1))
     return FactorizationProfile(n, s, tuple(odd))
-
-
-def crt_split(x: ResidueMatrix, profile: FactorizationProfile) -> tuple[ResidueMatrix, ...]:
-    """Split a matrix mod 2N into components mod 2^(s+1) and mod pi^si."""
-    if x.modulus != 2 * profile.n:
-        raise ValueError(
-            f"matrix modulus {x.modulus} is not 2*{profile.n}")
-    return tuple(
-        ResidueMatrix(m, x.a, x.b, x.c, x.d) for m in profile.crt_moduli())
-
-
-def crt_combine(parts: Sequence[ResidueMatrix]) -> ResidueMatrix:
-    """Recombine componentwise-reduced matrices; moduli must be coprime."""
-    if not parts:
-        raise ValueError("nothing to combine")
-    moduli = [p.modulus for p in parts]
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if math.gcd(moduli[i], moduli[j]) != 1:
-                raise ValueError(
-                    f"moduli {moduli[i]} and {moduli[j]} are not coprime")
-    n = math.prod(moduli)
-    entries = []
-    for pick in range(4):
-        residues = [p.key()[pick] for p in parts]
-        x = 0
-        for r, m in zip(residues, moduli):
-            q = n // m
-            x += r * q * pow(q, -1, m)
-        entries.append(x % n)
-    return ResidueMatrix(n, *entries)

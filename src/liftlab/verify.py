@@ -20,8 +20,7 @@ import time
 from dataclasses import dataclass
 
 from . import counting, engine
-from .matrices import (IntegerMatrix, ResidueMatrix, crt_combine, crt_split,
-                       factorize)
+from .matrices import IntegerMatrix, factorize
 from .presentation import (FAMILIES as PRESENTATION_FAMILIES, coset_action,
                            farey_symbol, general_level, generator_set,
                            index_formula)
@@ -258,18 +257,6 @@ def check_property_suite(max_n: int = 24,
                                               max_modulus=max_modulus)
         bad.extend(_group_invariants(group, rng))
 
-    for n in (12, 24, 40):
-        profile = factorize(n // 2)
-        for _ in range(20):
-            word = engine.identity(n)
-            for _ in range(rng.randrange(4, 12)):
-                step = rng.choice(((1, 1, 0, 1), (0, -1, 1, 0)))
-                word = engine.mul(word, step, n)
-            x = ResidueMatrix(n, *word)
-            back = crt_combine(crt_split(x, profile))
-            if back != x:
-                bad.append(("crt round trip", n, word))
-                break
     for n in (6, 10, 12, 20):
         direct = engine.quotient_summary("gamma0", n,
                                          max_modulus=max_modulus).dim2

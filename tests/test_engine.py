@@ -76,6 +76,13 @@ def test_closure_contains_agrees_with_closure():
             assert found == (target in group.elements)
             if not found:
                 assert order == group.order
+            # generators are normalised as closure does: repeats change nothing
+            assert engine.closure_contains(gens + gens, n, target) == (
+                found, order)
+            assert engine.closure_contains(gens, n, engine.identity(n)) == (
+                True, None)
+        with pytest.raises(ValueError):
+            engine.closure_contains([(1, 0, 0, 2)], n, engine.identity(n))
 
 
 def test_f2_consistent_hand_built_systems():

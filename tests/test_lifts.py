@@ -6,7 +6,7 @@ from liftlab import engine
 from liftlab.lifts import (LiftCertificate, SignCharacter, classify_all,
                            classify_lift, enumerate_lifts, find_witness,
                            full_image, lift_generators, propagate_witness)
-from liftlab.presentation import generator_set
+from liftlab.presentation import generator_set, proj_member
 
 
 def signs_of(descriptor):
@@ -108,17 +108,24 @@ def test_full_preimage_descriptor():
     assert d.generators[-1].entries() == (-1, 0, 0, -1)
 
 
-def test_transversal_choice_does_not_change_the_verdict():
-    gens = generator_set("gamma0", 6)
-    for signs in ((1, -1, -1), (-1, -1, -1), (1, 1, -1)):
-        char = SignCharacter(gens, signs)
-        first = classify_lift(char, "gamma0", 6, transversal="first")
-        last = classify_lift(char, "gamma0", 6, transversal="last")
-        assert first.classification == last.classification
-        assert first.certificate == last.certificate
-        assert first.generators != last.generators or signs.count(-1) < 2
-    with pytest.raises(ValueError):
-        lift_generators(SignCharacter(gens, (1, 1, -1)), transversal="middle")
+def assert_no_identity_repeat_or_inverse(gens):
+    keys = [m.entries() for m in gens]
+    assert (1, 0, 0, 1) not in keys
+    assert len(set(keys)) == len(keys)
+    for i, m in enumerate(gens):
+        assert m.inverse().entries() not in keys[:i]
+
+
+def test_kernel_generators_drop_identity_repeats_and_inverses():
+    # lift_generators and propagate_witness share one Schreier filter.
+    for family, n in (("gamma0", 6), ("gamma1", 5)):
+        for character in enumerate_lifts(generator_set(family, n))[1:]:
+            assert_no_identity_repeat_or_inverse(lift_generators(character))
+    parent = find_witness("gamma0", 6)
+    for family in ("gamma0", "gamma1"):
+        child = propagate_witness(parent, family, 12)
+        assert_no_identity_repeat_or_inverse(child.generators)
+        assert all(proj_member(family, 12, m) for m in child.generators)
 
 
 def test_is_congruence_helper():

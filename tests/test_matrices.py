@@ -3,8 +3,7 @@ import random
 import pytest
 
 from liftlab.matrices import (IDENTITY, MINUS_IDENTITY, S, T, IntegerMatrix,
-                              ResidueMatrix, crt_combine, crt_split,
-                              factorize, multiply, word)
+                              ResidueMatrix, factorize, multiply, word)
 
 
 def test_determinant_guard():
@@ -45,10 +44,6 @@ def test_residue_matrix_rules():
     assert (x.a, x.b, x.c, x.d) == (1, 0, 0, 1)
     with pytest.raises(ValueError):
         ResidueMatrix(6, 2, 0, 0, 2)
-    with pytest.raises(ValueError):
-        ResidueMatrix(6, 1, 0, 0, 1) * ResidueMatrix(5, 1, 0, 0, 1)
-    y = ResidueMatrix(7, 2, 1, 3, 2)
-    assert y * y.inverse() == ResidueMatrix(7, 1, 0, 0, 1)
 
 
 def test_factorize():
@@ -58,7 +53,6 @@ def test_factorize():
     assert factorize(1).s == 0 and factorize(1).odd_factors == ()
     prof = factorize(360)
     assert prof.s == 3 and prof.odd_factors == ((3, 2), (5, 1))
-    assert prof.crt_moduli() == (16, 9, 5)
     with pytest.raises(ValueError):
         factorize(0)
 
@@ -72,27 +66,3 @@ def test_factorize_reassembles():
         for p, e in prof.odd_factors:
             product *= p ** e
         assert product == n
-
-
-def test_crt_round_trip():
-    rng = random.Random(23)
-    for n in (6, 12, 20):
-        prof = factorize(n)
-        for _ in range(25):
-            m = word(rng.choice([S, T, T.inverse()]) for _ in range(8))
-            x = m.reduce(2 * n)
-            parts = crt_split(x, prof)
-            assert tuple(p.modulus for p in parts) == prof.crt_moduli()
-            assert crt_combine(parts) == x
-
-
-def test_crt_split_needs_matching_modulus():
-    prof = factorize(6)
-    with pytest.raises(ValueError):
-        crt_split(IDENTITY.reduce(10), prof)
-
-
-def test_crt_combine_rejects_common_factor():
-    parts = (IDENTITY.reduce(4), IDENTITY.reduce(6))
-    with pytest.raises(ValueError):
-        crt_combine(parts)
