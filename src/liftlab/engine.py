@@ -296,27 +296,30 @@ class TwoQuotient:
 def two_quotient(group: ResidueMatrixGroup) -> TwoQuotient:
     """Coordinates on G/G'G^2, built by iterative coset splitting.
 
-    Labels spread from the kernel: the first (in encoding order)
-    unlabeled element gets a fresh basis bit, and the labeled set, which
-    is always a subgroup containing the kernel, doubles.  The quotient is
-    elementary abelian, so labels combine by XOR.
+    Labels spread from the kernel K: the first unlabeled element x (in
+    the group's iteration order) gets a fresh basis bit, and the labeled
+    set, which is always a subgroup containing K, doubles.  One
+    representative per labeled coset is kept, reps[mask], so the new
+    coset K * reps[mask] * x gets label mask | bit without copying the
+    labels.  The quotient is elementary abelian, so labels combine by XOR.
     """
     n = group.modulus
     squares = squares_subgroup(group)
-    labels: dict[Element, int] = {h: 0 for h in squares.elements}
-    order = group.order
-    elements_sorted = sorted(group.elements)
-    dim = 0
-    scan = 0
-    while len(labels) < order:
-        while elements_sorted[scan] in labels:
-            scan += 1
-        x = elements_sorted[scan]
-        bit = 1 << dim
-        dim += 1
-        for y, mask in list(labels.items()):
-            labels[mul(y, x, n)] = mask ^ bit
-    if squares.order << dim != order:
+    labels: dict[Element, int] = dict.fromkeys(squares.elements, 0)
+    reps = [identity(n)]
+    for x in group.elements:
+        if len(labels) == group.order:
+            break
+        if x in labels:
+            continue
+        bit = len(reps)
+        for mask in range(bit):
+            rep = mul(reps[mask], x, n)
+            reps.append(rep)
+            for s in squares.elements:
+                labels[mul(s, rep, n)] = mask | bit
+    dim = len(reps).bit_length() - 1
+    if squares.order << dim != group.order:
         raise AssertionError(
             "index of the squares subgroup is not a power of two")
     return TwoQuotient(group, squares, dim, labels)

@@ -30,6 +30,11 @@ subgroup of index 2, and the latter happens exactly for a congruence
 lift; the certificate records the image order derived from the verdict
 (|H|/2 or |H|).  A full closure of the kernel's generators audits these
 orders in `verify` (the property suite and `verify_witness_data`).
+
+The rows depend only on the level, so each level builds one row table,
+and `find_witness` solves for a noncongruence sign vector on it instead
+of enumerating lifts; every witness has a character.  `propagate_witness`
+keeps the paper's pull-back for a cross-check in `verify`.
 """
 
 from __future__ import annotations
@@ -168,9 +173,8 @@ class LiftCertificate:
 class LiftDescriptor:
     """One lift: its character, kernel generators, and classification.
 
-    A propagated witness has no character of its own; `parent` is then the
-    noncongruence lift it was pulled back from, which makes its
-    generators reproducible.
+    A lift pulled back by `propagate_witness` has no character of its own
+    (`character` is None) and cannot be exported.
     """
 
     family: str
@@ -179,28 +183,22 @@ class LiftDescriptor:
     generators: tuple[IntegerMatrix, ...]
     classification: str
     certificate: LiftCertificate
-    parent: LiftDescriptor | None = None
 
     @property
     def is_full_preimage(self) -> bool:
         return self.character is not None and self.character.is_full_preimage
 
-    def _character_dict(self) -> dict:
-        """The JSON character: free signs, or the parent of a propagation."""
-        if self.character is None:
-            parent = self.parent
-            return {"free_signs": None,
-                    "parent": {"kind": parent.family, "N": parent.level,
-                               **parent._character_dict()}}
-        if self.character.is_full_preimage:
-            return {"free_signs": "full"}
-        return {"free_signs": list(self.character.free_signs)}
-
     def to_dict(self) -> dict:
+        if self.character is None:
+            raise ValueError("a pulled-back lift has no character to export")
+        if self.character.is_full_preimage:
+            signs = "full"
+        else:
+            signs = list(self.character.free_signs)
         return {
             "kind": self.family,
             "N": self.level,
-            "character": self._character_dict(),
+            "character": {"free_signs": signs},
             "generators": [list(m.entries()) for m in self.generators],
             "classification": self.classification,
             "certificate": self.certificate.to_dict(),
@@ -216,43 +214,55 @@ def full_image(family: str, level: int,
     return engine.adjoin_minus_identity(group)
 
 
-class _FullImage:
-    """|H|, H the full image mod 2N, and its two-quotient labels on demand.
+class _LevelRows:
+    """|H|, H the full image mod 2N, and the F2 row table of the level.
 
-    The labels are built on the first proper lift and the group is then
-    dropped, so a level whose only lift is the full preimage never pays
-    for the two-quotient, and the cache holds one table per level.
+    The table is the two-quotient label of each presentation generator, in
+    generator order, then of -I.  It is built on the first proper lift and
+    the group is then dropped, so a level whose only lift is the full
+    preimage never pays for the two-quotient.
     """
 
-    def __init__(self, group: engine.ResidueMatrixGroup):
+    def __init__(self, group: engine.ResidueMatrixGroup,
+                 keys: list[engine.Element]):
         self.order = group.order
-        self._group = group
-        self._labels: dict[engine.Element, int] | None = None
+        self._pending = (group, keys)
+        self._labels: tuple[int, ...] | None = None
 
-    def labels(self) -> dict[engine.Element, int]:
+    def labels(self) -> tuple[int, ...]:
         if self._labels is None:
-            self._labels = engine.two_quotient(self._group).labels
-            self._group = None
+            group, keys = self._pending
+            labels = engine.two_quotient(group).labels
+            self._labels = tuple(labels[k] for k in keys)
+            self._pending = None
         return self._labels
 
 
 @lru_cache(maxsize=1)
-def _full_image_data(family: str, level: int,
-                     max_modulus: int | None) -> _FullImage:
-    """The full image mod 2N, once per level.
+def _level_rows(family: str, level: int,
+                max_modulus: int | None) -> _LevelRows:
+    """The full image mod 2N and its row table, once per level.
 
     Also checks the fact the F2 criterion rests on: the presentation
     generators together with -I reach every element of H.
     """
     n = 2 * level
     ambient = full_image(family, level, max_modulus=max_modulus)
-    gens = generator_set(family, level).matrices() + (MINUS_IDENTITY,)
-    image = engine.closure([m.reduce(n).key() for m in gens], n)
+    keys = [m.reduce(n).key() for m in generator_set(family, level).matrices()]
+    keys.append(engine.minus_identity(n))
+    image = engine.closure(keys, n)
     if image.order != ambient.order:
         raise AssertionError(
             f"presentation generators only reach {image.order} of "
             f"{ambient.order} elements mod {n}")
-    return _FullImage(ambient)
+    return _LevelRows(ambient, keys)
+
+
+def _is_congruence(character: SignCharacter, labels: tuple[int, ...]) -> bool:
+    """Whether the character factors through the two-quotient of H."""
+    signs = [sign for _, sign in character.signed_generators()] + [-1]
+    return engine.f2_consistent(
+        (label, int(sign == -1)) for label, sign in zip(labels, signs))
 
 
 def classify_lift(character: SignCharacter, family: str, level: int,
@@ -263,24 +273,20 @@ def classify_lift(character: SignCharacter, family: str, level: int,
     a congruence lift and |H| otherwise, H the full image mod 2N.
     """
     n = 2 * level
-    ambient = _full_image_data(family, level, max_modulus)
+    table = _level_rows(family, level, max_modulus)
     if character.is_full_preimage:
         gens = character.generators.matrices() + (MINUS_IDENTITY,)
-        cert = LiftCertificate(ambient.order, ambient.order, n)
+        cert = LiftCertificate(table.order, table.order, n)
         return LiftDescriptor(family, level, character, tuple(gens),
                               "congruence", cert)
     gens = lift_generators(character)
-    labels = ambient.labels()
-    rows = [(labels[m.reduce(n).key()], int(sign == -1))
-            for m, sign in character.signed_generators()]
-    rows.append((labels[engine.minus_identity(n)], 1))
-    if engine.f2_consistent(rows):
-        classification, image_order = "congruence", ambient.order // 2
+    if _is_congruence(character, table.labels()):
+        classification, image_order = "congruence", table.order // 2
     else:
-        classification, image_order = "noncongruence", ambient.order
+        classification, image_order = "noncongruence", table.order
     return LiftDescriptor(family, level, character, tuple(gens),
                           classification,
-                          LiftCertificate(image_order, ambient.order, n))
+                          LiftCertificate(image_order, table.order, n))
 
 
 @dataclass(frozen=True)
@@ -356,52 +362,35 @@ def classify_all(family: str, level: int,
 
 
 def find_witness(family: str, level: int,
-                 enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
                  max_modulus: int | None = None) -> LiftDescriptor:
-    """First noncongruence lift in enumeration order, or a structured error."""
-    if family == "gamma0":
-        exists = not counting.all_lifts_congruence_gamma0(level)
-    elif family == "gamma1":
-        exists = not counting.all_lifts_congruence_gamma1(level)
-    else:
-        raise ValueError(
-            f"witness construction supports gamma0 and gamma1, not {family!r}")
-    if not exists:
-        raise LookupError(
-            f"every lift of {family}({level}) is a congruence group")
-    report = classify_all(family, level, enumeration_cap=enumeration_cap,
-                          max_modulus=max_modulus)
-    if report.witness is not None:
-        return report.witness
-    if report.mode == "enumerated":
-        raise AssertionError(
-            f"exhaustive enumeration certifies every lift of "
-            f"{family}({level}) congruence, but the all-congruence "
-            f"predicate expects a noncongruence one")
-    for parent in _propagation_parents(family, level):
-        try:
-            parent_witness = find_witness(*parent,
-                                          enumeration_cap=enumeration_cap,
-                                          max_modulus=max_modulus)
-        except (LookupError, engine.ModulusCapExceeded):
-            continue
-        return propagate_witness(parent_witness, family, level,
-                                 max_modulus=max_modulus)
+    """First noncongruence lift in `enumerate_lifts` order, solved over F2.
+
+    Read a sign vector as the integer whose bit r-1-i is set when free
+    sign i is -1; `enumerate_lifts` lists proper lifts in increasing order
+    of it.  The functionals phi fitting the rows of the odd generators and
+    -I form an affine space, and the free signs are linear in phi, so the
+    congruence sign vectors form an affine subspace A of F2^r.  If the
+    all-+1 vector 0 is outside A it is the first noncongruence lift.
+    Otherwise A is linear, and if all integers below 2^j lie in A and 2^j
+    does too, then so do all integers below 2^(j+1) (each is 2^j XOR k,
+    k < 2^j).  So the first vector outside A is a unit vector 2^j: a
+    single flip, tried from the last free generator back to the first.
+    If none of these r + 1 vectors lies outside A, every lift is
+    congruence and LookupError is raised; so it is with even torsion,
+    where the full preimage is the only lift.
+    """
+    generators = generator_set(family, level)
+    if generators.e2 == 0:
+        labels = _level_rows(family, level, max_modulus).labels()
+        r = generators.rank
+        for flip in (None, *range(r - 1, -1, -1)):
+            signs = tuple(-1 if i == flip else 1 for i in range(r))
+            character = SignCharacter(generators, signs)
+            if not _is_congruence(character, labels):
+                return classify_lift(character, family, level,
+                                     max_modulus=max_modulus)
     raise LookupError(
-        f"no witness for {family}({level}) within the enumeration cap "
-        f"{enumeration_cap}; raise it or use propagation explicitly")
-
-
-def _propagation_parents(family: str, level: int) -> list[tuple[str, int]]:
-    """Smaller groups whose noncongruence lifts pull back to this one."""
-    parents = []
-    for m in range(1, level):
-        if level % m == 0:
-            parents.append(("gamma0", m))
-            if family == "gamma1":
-                parents.append(("gamma1", m))
-    parents.sort(key=lambda p: -p[1])
-    return parents
+        f"every lift of {family}({level}) is a congruence group")
 
 
 def propagate_witness(parent: LiftDescriptor, family: str, level: int,
@@ -412,7 +401,9 @@ def propagate_witness(parent: LiftDescriptor, family: str, level: int,
     lift is itself a noncongruence lift (were it to contain a principal
     congruence subgroup, so would the parent lift).  Its generators come
     from the Schreier construction over the finitely many cosets, using
-    the parent lift's generators as the ambient generating set.
+    the parent lift's generators as the ambient generating set.  The
+    certificate records the image order the argument predicts, all of H;
+    `verify` recomputes it by a closure mod 2N.
     """
     if parent.classification != "noncongruence":
         raise ValueError("can only propagate a noncongruence witness")
@@ -452,12 +443,6 @@ def propagate_witness(parent: LiftDescriptor, family: str, level: int,
         if not proj_member(family, level, m):
             raise AssertionError("Schreier generator escapes the subgroup")
     n = 2 * level
-    ambient_image = full_image(family, level, max_modulus=max_modulus)
-    image = engine.closure([m.reduce(n).key() for m in out], n)
-    cert = LiftCertificate(image.order, ambient_image.order, n)
-    if image.order != ambient_image.order:
-        raise AssertionError(
-            f"propagated lift image has order {image.order}, expected the "
-            f"full {ambient_image.order} mod {n}")
-    return LiftDescriptor(family, level, None, tuple(out),
-                          "noncongruence", cert, parent=parent)
+    order = full_image(family, level, max_modulus=max_modulus).order
+    return LiftDescriptor(family, level, None, tuple(out), "noncongruence",
+                          LiftCertificate(order, order, n))

@@ -7,10 +7,10 @@ under test (brute-force filters, full closures, closed formulas) so a
 pass is evidence and not an echo.
 
 verify_witness_data re-validates an exported witness JSON dict from
-scratch: the character must regenerate the recorded generator matrices
-(a propagated witness, which has no character, names its parent lift,
-and the pull-back of that parent must regenerate them) and a full
-closure mod 2N must reproduce the certificate orders.
+scratch: the character's free signs must regenerate the recorded
+generator matrices and a full closure mod 2N must reproduce the
+certificate orders.  Every witness carries its own free signs; a file
+with null free_signs is rejected.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .matrices import IntegerMatrix, factorize
 from .presentation import (FAMILIES as PRESENTATION_FAMILIES, coset_action,
                            farey_symbol, general_level, generator_set,
                            index_formula)
-from .lifts import (LiftDescriptor, SignCharacter, classify_all, classify_lift,
-                    full_image, lift_generators, propagate_witness)
+from .lifts import (SignCharacter, classify_all, find_witness, full_image,
+                    lift_generators, propagate_witness)
 
 RNG_SEED = 715
 
@@ -167,21 +167,36 @@ def check_gamma1_census(max_n: int = 5, seed_tamper: bool = False,
 def check_classification_vs_predicates(max_n: int = 48,
                                        max_modulus: int | None = None,
                                        ) -> tuple[bool, str]:
-    """Exhaustive classification against the closed all-congruence tests."""
+    """The closed all-congruence tests against computed classifications.
+
+    Counted reports copy their totals from the predicates' closed formula,
+    so at counted levels the F2 witness solve decides instead.
+    """
     top = _engine_range(max_n, max_modulus)
     predicates = {"gamma0": counting.all_lifts_congruence_gamma0,
                   "gamma1": counting.all_lifts_congruence_gamma1}
     bad = []
+    solved = 0
     for family, predicate in predicates.items():
         for n in range(1, top + 1):
             report = classify_all(family, n, max_modulus=max_modulus)
-            if report.all_congruence != predicate(n):
+            if report.mode == "enumerated":
+                all_congruence = report.all_congruence
+            else:
+                solved += 1
+                try:
+                    find_witness(family, n, max_modulus=max_modulus)
+                    all_congruence = False
+                except LookupError:
+                    all_congruence = True
+            if all_congruence != predicate(n):
                 bad.append((family, n, report.total, report.congruence,
                             report.noncongruence, report.mode))
     if bad:
         return False, (
             f"classification disagrees with the closed predicate at: {bad}")
-    return True, f"predicates match exhaustive classification for N <= {top}"
+    return True, (f"predicates match exhaustive classification for N <= "
+                  f"{top} ({solved} counted levels by the witness solve)")
 
 
 def check_hyperplane_counts() -> tuple[bool, str]:
@@ -275,6 +290,26 @@ def check_property_suite(max_n: int = 24,
             if len(gens.entries) != gens.e2 + gens.e3 + gens.rank:
                 bad.append(("farey generator count", family, n))
 
+    # The paper's pull-back: the preimage of a smaller projective group
+    # inside a noncongruence lift is a noncongruence lift, so it reaches all
+    # of H, and the F2 solve must find a witness at the child level too.
+    pulled = [(f, n) for f, n in (("gamma1", 6), ("gamma0", 12),
+                                  ("gamma1", 12)) if n <= max_n]
+    if pulled:
+        parent = find_witness("gamma0", 6, max_modulus=max_modulus)
+    for family, n in pulled:
+        child = propagate_witness(parent, family, n, max_modulus=max_modulus)
+        image = engine.closure(
+            [g.reduce(2 * n).key() for g in child.generators], 2 * n)
+        ambient = full_image(family, n, max_modulus=max_modulus)
+        if image.order != ambient.order:
+            bad.append(("pull-back image", family, n, image.order,
+                        ambient.order))
+        try:
+            find_witness(family, n, max_modulus=max_modulus)
+        except LookupError:
+            bad.append(("no witness below a pull-back", family, n))
+
     checked = 0
     for family in ("gamma0", "gamma1"):
         for n in range(1, min(max_n, 24) + 1):
@@ -303,8 +338,9 @@ def check_property_suite(max_n: int = 24,
                     break
     if bad:
         return False, f"property failures: {bad[:6]}"
-    return True, (f"group/CRT/Farey invariants hold; {checked} certificates "
-                  f"re-verified by full closure")
+    return True, (f"group/CRT/Farey invariants hold; {len(pulled)} "
+                  f"pull-backs reach H; {checked} certificates re-verified "
+                  f"by full closure")
 
 
 _WITNESS_KEYS = {"kind": (str, "string"), "N": (int, "integer"),
@@ -325,8 +361,24 @@ def _check_witness_schema(data) -> None:
         if not isinstance(data[key], kind) or isinstance(data[key], bool):
             raise ValueError(f"witness {key!r} must be a JSON {json_name}, "
                              f"got {data[key]!r}")
-    _check_kind_and_level(data, "witness")
-    _check_character_schema(data["character"], data["N"], "witness character")
+    if data["kind"] not in PRESENTATION_FAMILIES:
+        raise ValueError(f"unknown witness kind {data['kind']!r}; "
+                         f"expected one of {PRESENTATION_FAMILIES}")
+    if data["N"] < 1:
+        raise ValueError(f"witness level N must be a positive integer, "
+                         f"got {data['N']!r}")
+    character = data["character"]
+    if "free_signs" not in character:
+        raise ValueError("witness character has no 'free_signs' key")
+    signs = character["free_signs"]
+    if signs is None:
+        raise ValueError("witness character has null free_signs; null "
+                         "free_signs are not accepted, every witness "
+                         "carries its own signs")
+    if not (signs == "full" or (
+            isinstance(signs, list) and all(_is_int(x) for x in signs))):
+        raise ValueError(f"witness character free_signs must be \"full\" "
+                         f"or a list of integers, got {signs!r}")
     for row in data["generators"]:
         if not (isinstance(row, list) and len(row) == 4
                 and all(_is_int(x) for x in row)
@@ -339,55 +391,8 @@ def _check_witness_schema(data) -> None:
                              f"integer")
 
 
-def _check_kind_and_level(obj: dict, where: str) -> None:
-    if obj.get("kind") not in PRESENTATION_FAMILIES:
-        raise ValueError(f"unknown {where} kind {obj.get('kind')!r}; "
-                         f"expected one of {PRESENTATION_FAMILIES}")
-    if not _is_int(obj.get("N")) or obj["N"] < 1:
-        raise ValueError(f"{where} level N must be a positive integer, "
-                         f"got {obj.get('N')!r}")
-
-
-def _check_character_schema(character: dict, level: int, where: str) -> None:
-    """Free signs, or (free_signs null) the parent a propagation came from."""
-    if "free_signs" not in character:
-        raise ValueError(f"{where} has no 'free_signs' key")
-    signs = character["free_signs"]
-    if not (signs is None or signs == "full" or (
-            isinstance(signs, list) and all(_is_int(x) for x in signs))):
-        raise ValueError(f"{where} free_signs must be \"full\", null or a "
-                         f"list of integers, got {signs!r}")
-    if signs is not None:
-        return
-    parent = character.get("parent")
-    if not isinstance(parent, dict):
-        raise ValueError(f"{where} with null free_signs must name the "
-                         f"'parent' lift it was propagated from")
-    _check_kind_and_level(parent, "witness parent")
-    if parent["N"] == level or level % parent["N"]:
-        raise ValueError(f"witness parent level {parent['N']} is not a "
-                         f"proper divisor of {level}")
-    if parent.get("free_signs") == "full":
-        raise ValueError("a witness parent cannot be the full preimage")
-    _check_character_schema(parent, parent["N"], "witness parent")
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _rebuild_lift(family: str, level: int, character: dict,
-                  max_modulus: int | None) -> LiftDescriptor:
-    """The lift a witness parent names: classified, or propagated again."""
-    signs = character["free_signs"]
-    if signs is None:
-        parent = character["parent"]
-        return propagate_witness(
-            _rebuild_lift(parent["kind"], parent["N"], parent, max_modulus),
-            family, level, max_modulus=max_modulus)
-    return classify_lift(SignCharacter(generator_set(family, level),
-                                       tuple(signs)),
-                         family, level, max_modulus=max_modulus)
 
 
 def verify_witness_data(data: dict,
@@ -395,9 +400,9 @@ def verify_witness_data(data: dict,
     """Re-validate an exported witness dict from first principles.
 
     The recorded generators must be the ones the character regenerates:
-    the kernel generators of its signs, or for a propagated witness (free
-    signs null) the pull-back of its parent lift, rebuilt the same way.
-    A full closure mod 2N must then reproduce the certificate orders.
+    the kernel generators of its signs, or the presentation generators
+    with -I for the full preimage.  A full closure mod 2N must then
+    reproduce the certificate orders.
     Raises ValueError when `data` does not have the witness schema.
     """
     _check_witness_schema(data)
@@ -409,22 +414,13 @@ def verify_witness_data(data: dict,
     if cert["modulus"] != 2 * level:
         return False, f"certificate modulus {cert['modulus']} is not 2N"
     n = 2 * level
-    # full_image enforces the modulus cap before any closure runs; every
-    # parent level divides N, so no rebuild below can exceed it.
+    # full_image enforces the modulus cap before any closure runs.
     ambient = full_image(family, level, max_modulus=max_modulus)
-    if signs is None:
-        try:
-            expected = list(_rebuild_lift(family, level, data["character"],
-                                          max_modulus).generators)
-        except ValueError as exc:
-            return False, f"the propagation cannot be rebuilt: {exc}"
+    gens = generator_set(family, level)
+    if signs == "full":
+        expected = list(gens.matrices()) + [IntegerMatrix(-1, 0, 0, -1)]
     else:
-        gens = generator_set(family, level)
-        if signs == "full":
-            expected = list(gens.matrices()) + [IntegerMatrix(-1, 0, 0, -1)]
-        else:
-            expected = list(lift_generators(
-                SignCharacter(gens, tuple(signs))))
+        expected = list(lift_generators(SignCharacter(gens, tuple(signs))))
     recorded = [IntegerMatrix(*row) for row in data["generators"]]
     if recorded != expected:
         return False, "recorded generators do not match the character"

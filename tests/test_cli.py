@@ -4,7 +4,7 @@ import pytest
 
 from liftlab import cli, verify
 from liftlab.counting import LiftCountReport, count_congruence_lifts_formula
-from liftlab.lifts import classify_all, find_witness, propagate_witness
+from liftlab.lifts import find_witness
 from liftlab.presentation import generator_set
 
 
@@ -106,52 +106,33 @@ def test_witness_tamper_detected(capsys, tmp_path):
     assert "do not match" in out
 
 
-def test_propagated_witness_round_trip(capsys, tmp_path):
+@pytest.mark.parametrize("group, n", [("gamma0", 36), ("gamma1", 11)])
+def test_counted_witness_round_trip(capsys, tmp_path, group, n):
     path = tmp_path / "w.json"
-    code, _, _ = run(capsys, "witness", "--group", "gamma0", "--n", "36",
+    code, _, _ = run(capsys, "witness", "--group", group, "--n", str(n),
                      "--out", str(path))
     assert code == 0
     data = json.loads(path.read_text())
-    assert data["character"]["free_signs"] is None
-    assert data["character"]["parent"]["kind"] == "gamma0"
+    assert isinstance(data["character"]["free_signs"], list)
     code, out, _ = run(capsys, "verify-witness", "--in", str(path))
     assert code == 0
     assert "witness re-verified" in out
 
 
-def test_nested_propagated_witness_round_trip():
-    twice = propagate_witness(
-        propagate_witness(find_witness("gamma0", 6), "gamma0", 12),
-        "gamma1", 24)
-    data = json.loads(json.dumps(twice.to_dict()))
-    assert data["character"]["parent"]["parent"]["N"] == 6
-    ok, message = verify.verify_witness_data(data)
-    assert ok, message
-
-
-def test_propagated_witness_tampering_detected():
-    data = json.loads(json.dumps(
-        propagate_witness(find_witness("gamma0", 6), "gamma0", 12).to_dict()))
+def test_full_preimage_forgery_detected():
+    data = json.loads(json.dumps(find_witness("gamma0", 12).to_dict()))
     assert verify.verify_witness_data(data)[0]
     # The full preimage with -I reaches the whole image mod 2N too, but it
-    # is a congruence group and no lift: only the rebuild from the parent
-    # tells it apart.
+    # is a congruence group and no lift: only the regenerated kernel
+    # generators tell it apart.
     full_preimage = [list(m.entries())
                      for m in generator_set("gamma0", 12).matrices()]
     full_preimage.append([-1, 0, 0, -1])
-    parent = data["character"]["parent"]
-    congruence_signs = next(
-        list(d.character.free_signs)
-        for d in classify_all("gamma0", 6).descriptors[1:]
-        if d.classification == "congruence")
     cases = [
         ("do not match", dict(data, generators=full_preimage)),
         ("do not match", dict(
             data, generators=data["generators"] + [[1, 0, 1, 1]])),
         ("do not match", dict(data, generators=data["generators"][:1])),
-        ("can only propagate a noncongruence witness", dict(
-            data, character=dict(data["character"], parent=dict(
-                parent, free_signs=congruence_signs)))),
         ("!= certificate 1", dict(
             data, certificate=dict(data["certificate"], image_order=1))),
         ("contradicts orders", dict(data, classification="congruence")),
@@ -171,15 +152,11 @@ def test_propagated_witness_tampering_detected():
       "generators": [], "classification": "noncongruence",
       "certificate": {"image_order": 1, "full_image_order": 1,
                       "modulus": 12}}, "unknown witness kind 'gamma7'"),
-    ({"kind": "gamma0", "N": 12, "character": {"free_signs": None},
+    ({"kind": "gamma0", "N": 12, "character": {"free_signs": None, "parent": {
+        "kind": "gamma0", "N": 6, "free_signs": [1, 1, -1]}},
       "generators": [[-1, 0, 0, -1]], "classification": "noncongruence",
       "certificate": {"image_order": 384, "full_image_order": 384,
-                      "modulus": 24}}, "must name the 'parent' lift"),
-    ({"kind": "gamma0", "N": 12, "character": {"free_signs": None, "parent": {
-        "kind": "gamma0", "N": 5, "free_signs": [1]}},
-      "generators": [], "classification": "noncongruence",
-      "certificate": {"image_order": 384, "full_image_order": 384,
-                      "modulus": 24}}, "not a proper divisor of 12"),
+                      "modulus": 24}}, "free_signs are not accepted"),
 ])
 def test_malformed_witness_file_is_usage_error(capsys, tmp_path, payload,
                                                complaint):

@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from liftlab import engine
+from liftlab import engine, verify
 from liftlab.lifts import (LiftCertificate, SignCharacter, classify_all,
                            classify_lift, enumerate_lifts, find_witness,
                            full_image, lift_generators, propagate_witness)
@@ -10,8 +11,6 @@ from liftlab.presentation import generator_set, proj_member
 
 
 def signs_of(descriptor):
-    if descriptor.character is None:
-        return None
     if descriptor.character.is_full_preimage:
         return "full"
     return descriptor.character.free_signs
@@ -202,28 +201,53 @@ def test_find_witness_errors():
         find_witness("gamma", 4)
 
 
-def test_find_witness_through_propagation():
-    # rank 13 puts this level past the enumeration cap, so the witness is
-    # pulled back from a divisor level
+def test_find_witness_at_counted_level():
+    # rank 13 puts this level past the enumeration cap; the F2 solve still
+    # gives a character witness
+    assert classify_all("gamma0", 30).mode == "counted"
     w = find_witness("gamma0", 30)
     assert w.classification == "noncongruence"
-    assert w.character is None
-    assert w.certificate.modulus == 60
-    assert w.certificate.image_order == w.certificate.full_image_order
-    image = engine.closure([m.reduce(60).key() for m in w.generators], 60)
-    assert image.order == full_image("gamma0", 30).order
+    assert len(w.character.free_signs) == 13
+    order = full_image("gamma0", 30).order
+    assert w.certificate == LiftCertificate(order, order, 60)
+    ok, message = verify.verify_witness_data(json.loads(json.dumps(
+        w.to_dict())))
+    assert ok, message
+
+
+def test_find_witness_is_the_first_noncongruence_lift():
+    levels = [("gamma0", n) for n in range(1, 49)] + [
+        ("gamma1", n) for n in range(1, 25)]
+    counted = 0
+    for family, n in levels:
+        report = classify_all(family, n)
+        if report.mode == "enumerated":
+            if report.all_congruence:
+                with pytest.raises(LookupError):
+                    find_witness(family, n)
+            else:
+                assert find_witness(family, n).to_dict() == \
+                    report.witness.to_dict(), (family, n)
+            continue
+        counted += 1
+        data = json.loads(json.dumps(find_witness(family, n).to_dict()))
+        ok, message = verify.verify_witness_data(data)
+        assert ok, (family, n, message)
+    assert counted == 22
 
 
 def test_propagate_witness_to_subfamilies():
+    # The closure of each pull-back is checked in verify's property suite.
     parent = find_witness("gamma0", 6)
     for family, n in (("gamma1", 6), ("gamma0", 12), ("gamma1", 12)):
         child = propagate_witness(parent, family, n)
+        assert child.character is None
         assert child.classification == "noncongruence"
-        assert child.certificate.modulus == 2 * n
-        image = engine.closure(
-            [m.reduce(2 * n).key() for m in child.generators], 2 * n)
-        assert image.order == child.certificate.image_order
-        assert image.order == full_image(family, n).order
+        full_order = full_image(family, n).order
+        assert child.certificate == LiftCertificate(full_order, full_order,
+                                                    2 * n)
+        with pytest.raises(ValueError, match="no character to export"):
+            child.to_dict()
 
 
 def test_propagate_witness_rejections():
@@ -249,10 +273,6 @@ def test_descriptor_to_dict_schema():
     assert all(len(row) == 4 for row in proper["generators"])
     cert = LiftCertificate.from_dict(proper["certificate"])
     assert cert == report.descriptors[1].certificate
-    propagated = propagate_witness(find_witness("gamma0", 6), "gamma0", 12)
-    assert propagated.to_dict()["character"] == {
-        "free_signs": None,
-        "parent": {"kind": "gamma0", "N": 6, "free_signs": [1, 1, -1]}}
 
 
 def test_report_to_dict():
