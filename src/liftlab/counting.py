@@ -75,10 +75,6 @@ class LiftCountReport:
             "minus_one_in_squares": self.minus_one_in_squares,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LiftCountReport":
-        return cls(**data)
-
 
 def _require_level(level: int) -> None:
     if level < 1:
@@ -115,14 +111,6 @@ def count_congruence_lifts_formula(family: str, level: int) -> LiftCountReport:
         else:
             count, branch = 9, "N>2 even"
     return LiftCountReport(family, level, count, "formula", branch)
-
-
-def minus_one_in_family(family: str, level: int) -> bool:
-    """Whether -I belongs to the congruence subgroup itself."""
-    engine_kind(family)
-    if family == "gamma0":
-        return True
-    return level <= 2
 
 
 def count_congruence_lifts_engine(family: str, level: int,
@@ -225,9 +213,3 @@ def all_lifts_congruence_gamma1(level: int) -> bool:
     the coset action; true exactly for N <= 4.
     """
     return _all_lifts_congruence("gamma1", level)
-
-
-def gamma_full_has_noncongruence_lift(level: int) -> bool:
-    """The principal family admits a noncongruence lift exactly for N > 2."""
-    _require_level(level)
-    return level > 2

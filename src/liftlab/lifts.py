@@ -28,13 +28,15 @@ with -I to generate H, which one closure per (family, level) checks.
 Since [Gtilde : L] = 2, the image of L mod 2N is either all of H or a
 subgroup of index 2, and the latter happens exactly for a congruence
 lift; the certificate records the image order derived from the verdict
-(|H|/2 or |H|).  A full closure of the kernel's generators audits these
-orders in `verify` (the property suite and `verify_witness_data`).
+(|H|/2 or |H|).  `verify.verify_witness_data` is the one audit of these
+orders: it recomputes them by a full closure of the kernel's generators.
 
 The rows depend only on the level, so each level builds one row table,
 and `find_witness` solves for a noncongruence sign vector on it instead
-of enumerating lifts; every witness has a character.  `propagate_witness`
-keeps the paper's pull-back for a cross-check in `verify`.
+of enumerating lifts; every lift and every witness has a character.
+`propagate_witness` keeps the paper's pull-back, the Schreier generators
+of a smaller group's preimage inside a witness, for a cross-check in
+`verify`.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from typing import Iterable
 
 from . import counting, engine
 from .matrices import IDENTITY, MINUS_IDENTITY, IntegerMatrix
-from .presentation import GeneratorSet, _coset_key_fn, generator_set, \
-    index_formula, proj_member
+from .presentation import DEFAULT_MAX_INDEX, GeneratorSet, _coset_key_fn, \
+    _coset_walk, generator_set, index_formula, proj_member
 
 DEFAULT_ENUMERATION_CAP = 512
 
@@ -163,34 +165,23 @@ class LiftCertificate:
                 "full_image_order": self.full_image_order,
                 "modulus": self.modulus}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LiftCertificate":
-        return cls(data["image_order"], data["full_image_order"],
-                   data["modulus"])
-
 
 @dataclass(frozen=True)
 class LiftDescriptor:
-    """One lift: its character, kernel generators, and classification.
-
-    A lift pulled back by `propagate_witness` has no character of its own
-    (`character` is None) and cannot be exported.
-    """
+    """One lift: its character, kernel generators, and classification."""
 
     family: str
     level: int
-    character: SignCharacter | None
+    character: SignCharacter
     generators: tuple[IntegerMatrix, ...]
     classification: str
     certificate: LiftCertificate
 
     @property
     def is_full_preimage(self) -> bool:
-        return self.character is not None and self.character.is_full_preimage
+        return self.character.is_full_preimage
 
     def to_dict(self) -> dict:
-        if self.character is None:
-            raise ValueError("a pulled-back lift has no character to export")
         if self.character.is_full_preimage:
             signs = "full"
         else:
@@ -205,6 +196,8 @@ class LiftDescriptor:
         }
 
 
+# One level's row table and its certificate audits share one H.
+@lru_cache(maxsize=1)
 def full_image(family: str, level: int,
                max_modulus: int | None = None) -> engine.ResidueMatrixGroup:
     """Image of the full preimage in SL2(Z/2N)."""
@@ -327,10 +320,10 @@ class ClassificationReport:
 # N <= 24 twice (the predicate check, then the certificate audit), which
 # is 48 reports; a smaller LRU cache would redo every one of them.
 @lru_cache(maxsize=48)
-def _classify_all_cached(family: str, level: int, enumeration_cap: int,
+def _classify_all_cached(family: str, level: int,
                          max_modulus: int | None) -> ClassificationReport:
     generators = generator_set(family, level)
-    if generators.e2 == 0 and 2 ** generators.rank > enumeration_cap:
+    if generators.e2 == 0 and 2 ** generators.rank > DEFAULT_ENUMERATION_CAP:
         formula = counting.count_congruence_lifts_formula(family, level)
         total = 1 + 2 ** generators.rank
         return ClassificationReport(
@@ -353,12 +346,11 @@ def _classify_all_cached(family: str, level: int, enumeration_cap: int,
 
 
 def classify_all(family: str, level: int,
-                 enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
                  max_modulus: int | None = None) -> ClassificationReport:
     """Classify every lift, falling back to counting when 2^r is too big."""
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
-    return _classify_all_cached(family, level, enumeration_cap, max_modulus)
+    return _classify_all_cached(family, level, max_modulus)
 
 
 def find_witness(family: str, level: int,
@@ -393,17 +385,16 @@ def find_witness(family: str, level: int,
         f"every lift of {family}({level}) is a congruence group")
 
 
-def propagate_witness(parent: LiftDescriptor, family: str, level: int,
-                      max_modulus: int | None = None) -> LiftDescriptor:
+def propagate_witness(parent: LiftDescriptor, family: str,
+                      level: int) -> tuple[IntegerMatrix, ...]:
     """Pull a noncongruence witness back to a subgroup family.
 
     The preimage of the smaller projective group inside a noncongruence
     lift is itself a noncongruence lift (were it to contain a principal
-    congruence subgroup, so would the parent lift).  Its generators come
-    from the Schreier construction over the finitely many cosets, using
-    the parent lift's generators as the ambient generating set.  The
-    certificate records the image order the argument predicts, all of H;
-    `verify` recomputes it by a closure mod 2N.
+    congruence subgroup, so would the parent lift).  Its generators are
+    the Schreier generators over the finitely many cosets, walked with the
+    parent lift's generators as steps; they are returned without a
+    certificate, and `verify` computes their closure mod 2N.
     """
     if parent.classification != "noncongruence":
         raise ValueError("can only propagate a noncongruence witness")
@@ -416,33 +407,17 @@ def propagate_witness(parent: LiftDescriptor, family: str, level: int,
             f"{family}({level}) does not embed in gamma1({parent.level})")
     subindex = index_formula(family, level) // index_formula(
         parent.family, parent.level)
-    key = _coset_key_fn(family, level)
-    ambient = parent.generators
-    reps: list[IntegerMatrix] = [IDENTITY]
-    index_of = {key(0, 1): 0}
-    queue = [0]
-    edges: dict[tuple[int, int], int] = {}
-    while queue:
-        i = queue.pop()
-        for g_pos, g in enumerate(ambient):
-            image = reps[i] * g
-            k = key(image.c, image.d)
-            j = index_of.get(k)
-            if j is None:
-                j = len(reps)
-                index_of[k] = j
-                reps.append(image)
-                queue.append(j)
-            edges[(i, g_pos)] = j
+    steps = parent.generators
+    reps, edges = _coset_walk(
+        _coset_key_fn(family, level), steps, DEFAULT_MAX_INDEX,
+        f"{family}({level}) in a {parent.family}({parent.level}) lift")
     if len(reps) != subindex:
         raise AssertionError(
             f"coset walk found {len(reps)} cosets, expected {subindex}")
-    out = _schreier_filter(reps[i] * ambient[g_pos] * reps[j].inverse()
-                           for (i, g_pos), j in sorted(edges.items()))
+    out = _schreier_filter(reps[i] * g * reps[j].inverse()
+                           for i, row in enumerate(edges)
+                           for g, j in zip(steps, row))
     for m in out:
         if not proj_member(family, level, m):
             raise AssertionError("Schreier generator escapes the subgroup")
-    n = 2 * level
-    order = full_image(family, level, max_modulus=max_modulus).order
-    return LiftDescriptor(family, level, None, tuple(out), "noncongruence",
-                          LiftCertificate(order, order, n))
+    return tuple(out)

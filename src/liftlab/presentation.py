@@ -4,7 +4,10 @@ The permutation route: right cosets of the projective group are walked
 by right multiplication with S = [[0,-1],[1,0]] and T = [[1,1],[0,1]].
 Torsion is read off fixed points (e2 from the S-permutation, e3 from the
 S*T-permutation), cusp widths off the T-cycles, and the free rank of the
-group's presentation from index and torsion alone.
+group's presentation from index and torsion alone.  The same
+breadth-first walk, stepping by a lift's generators instead of S and T,
+gives the Schreier generators of the pull-back in
+`lifts.propagate_witness`.
 
 The generator route: a Farey symbol is grown from the seed sequence
 -infty, 0, +infty by testing the leftmost unlabeled side for an even or
@@ -41,7 +44,6 @@ projectively, so those requests are delegated to the gamma0 path.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 
@@ -129,34 +131,45 @@ class CosetAction:
         return tuple(self.t_perm[j] for j in self.s_perm)
 
 
-def build_coset_action(family: str, level: int,
-                       max_index: int = DEFAULT_MAX_INDEX) -> CosetAction:
-    """Enumerate the coset space by orbit construction from the identity."""
-    if level < 1:
-        raise ValueError(f"level must be positive, got {level}")
-    key = _coset_key_fn(family, level)
-    index_of: dict[tuple, int] = {key(0, 1): 0}
-    reps: list[IntegerMatrix] = [IDENTITY]
-    queue = deque([0])
-    edges: list[list[int | None]] = [[None, None]]
-    while queue:
-        i = queue.popleft()
-        for slot, step in ((0, S), (1, T)):
-            image = reps[i] * step
+def _coset_walk(key, steps: tuple[IntegerMatrix, ...], max_index: int,
+                what: str) -> tuple[list[IntegerMatrix], list[list[int]]]:
+    """Breadth-first walk of the right cosets reachable from the identity.
+
+    `key(c, d)` labels the coset of a matrix with bottom row (c, d).
+    Cosets are numbered as they are first reached, so `reps[i]` is the
+    first matrix found in coset i, and `edges[i][k]` is the coset of
+    reps[i] * steps[k].  The list of representatives grows while it is
+    walked, so cosets are visited in the order they are numbered.
+    """
+    index_of = {key(0, 1): 0}
+    reps = [IDENTITY]
+    edges = []
+    for rep in reps:
+        row = []
+        for step in steps:
+            image = rep * step
             k = key(image.c, image.d)
             j = index_of.get(k)
             if j is None:
                 j = len(reps)
                 if j >= max_index:
                     raise IndexBoundExceeded(
-                        f"coset space of {family}({level}) exceeds {max_index}")
+                        f"coset space of {what} exceeds {max_index}")
                 index_of[k] = j
                 reps.append(image)
-                edges.append([None, None])
-                queue.append(j)
-            edges[i][slot] = j
-    s_perm = tuple(e[0] for e in edges)
-    t_perm = tuple(e[1] for e in edges)
+            row.append(j)
+        edges.append(row)
+    return reps, edges
+
+
+def build_coset_action(family: str, level: int,
+                       max_index: int = DEFAULT_MAX_INDEX) -> CosetAction:
+    """Enumerate the coset space by orbit construction from the identity."""
+    if level < 1:
+        raise ValueError(f"level must be positive, got {level}")
+    reps, edges = _coset_walk(_coset_key_fn(family, level), (S, T),
+                              max_index, f"{family}({level})")
+    s_perm, t_perm = zip(*edges)
     action = CosetAction(family, level, len(reps), s_perm, t_perm, tuple(reps))
     _check_action(action)
     return action
@@ -356,8 +369,7 @@ class FareySymbol:
         self.pair_positions()
 
 
-def farey_symbol(family: str, level: int,
-                 max_sides: int | None = None) -> FareySymbol:
+def farey_symbol(family: str, level: int) -> FareySymbol:
     """Grow a Farey symbol for the projective group by mediant refinement.
 
     Deterministic: always works on the leftmost unlabeled side, tries an
@@ -381,8 +393,7 @@ def farey_symbol(family: str, level: int,
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
     eff = _normalize_family(family, level)
-    if max_sides is None:
-        max_sides = max(64, 4 * index_formula(eff, level))
+    max_sides = max(64, 4 * index_formula(eff, level))
     key = _coset_key_fn(eff, level)
 
     def member(m: IntegerMatrix) -> bool:
@@ -515,14 +526,6 @@ class GeneratorSet:
                 for m, k in self.entries
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GeneratorSet":
-        entries = tuple(
-            (IntegerMatrix(*g["matrix"]), g["type"])
-            for g in data["generators"])
-        return cls(data["kind"], data["N"], data["index"], data["e2"],
-                   data["e3"], data["r"], entries)
 
 
 def generators_from_symbol(symbol: FareySymbol) -> GeneratorSet:

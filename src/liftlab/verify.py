@@ -6,11 +6,14 @@ deliberately recompute things through routes different from the ones
 under test (brute-force filters, full closures, closed formulas) so a
 pass is evidence and not an echo.
 
-verify_witness_data re-validates an exported witness JSON dict from
-scratch: the character's free signs must regenerate the recorded
-generator matrices and a full closure mod 2N must reproduce the
-certificate orders.  Every witness carries its own free signs; a file
-with null free_signs is rejected.
+verify_witness_data is the one certificate audit.  It re-validates a
+lift's JSON dict from scratch: the character's free signs must
+regenerate the recorded generator matrices, a full closure mod 2N must
+reproduce the certificate orders, and the orders must fit the congruence
+dichotomy and the claimed classification.  It audits exported witness
+files and, in the property suite, every enumerated lift at N <= 24.
+Every witness carries its own free signs; a file with null free_signs is
+rejected.
 """
 
 from __future__ import annotations
@@ -298,9 +301,9 @@ def check_property_suite(max_n: int = 24,
     if pulled:
         parent = find_witness("gamma0", 6, max_modulus=max_modulus)
     for family, n in pulled:
-        child = propagate_witness(parent, family, n, max_modulus=max_modulus)
         image = engine.closure(
-            [g.reduce(2 * n).key() for g in child.generators], 2 * n)
+            [g.reduce(2 * n).key()
+             for g in propagate_witness(parent, family, n)], 2 * n)
         ambient = full_image(family, n, max_modulus=max_modulus)
         if image.order != ambient.order:
             bad.append(("pull-back image", family, n, image.order,
@@ -310,31 +313,20 @@ def check_property_suite(max_n: int = 24,
         except LookupError:
             bad.append(("no witness below a pull-back", family, n))
 
+    # Every enumerated lift goes through the audit an exported witness does.
     checked = 0
     for family in ("gamma0", "gamma1"):
         for n in range(1, min(max_n, 24) + 1):
             report = classify_all(family, n, max_modulus=max_modulus)
             if report.mode != "enumerated":
                 continue
-            ambient = full_image(family, n, max_modulus=max_modulus)
-            m = 2 * n
             for desc in report.descriptors:
-                image = engine.closure(
-                    [g.reduce(m).key() for g in desc.generators], m)
+                data = desc.to_dict()
+                ok, msg = verify_witness_data(data, max_modulus=max_modulus)
                 checked += 1
-                if image.order != desc.certificate.image_order:
-                    bad.append(("certificate order", family, n,
-                                desc.to_dict()["character"]))
-                    break
-                half = 2 * image.order == ambient.order
-                fullo = image.order == ambient.order
-                if not (half or fullo):
-                    bad.append(("dichotomy", family, n, image.order,
-                                ambient.order))
-                    break
-                if (desc.classification == "congruence") != (
-                        half or desc.is_full_preimage):
-                    bad.append(("classification vs order", family, n))
+                if not ok:
+                    bad.append(("certificate", family, n,
+                                data["character"]["free_signs"], msg))
                     break
     if bad:
         return False, f"property failures: {bad[:6]}"
@@ -397,12 +389,14 @@ def _is_int(x) -> bool:
 
 def verify_witness_data(data: dict,
                         max_modulus: int | None = None) -> tuple[bool, str]:
-    """Re-validate an exported witness dict from first principles.
+    """Re-validate an exported lift dict from first principles.
 
     The recorded generators must be the ones the character regenerates:
     the kernel generators of its signs, or the presentation generators
     with -I for the full preimage.  A full closure mod 2N must then
-    reproduce the certificate orders.
+    reproduce the certificate orders, and they must fit the dichotomy:
+    the full preimage reaches all of H and is congruence; a proper lift
+    reaches |H|/2 (congruence) or |H| (noncongruence), as claimed.
     Raises ValueError when `data` does not have the witness schema.
     """
     _check_witness_schema(data)
@@ -431,15 +425,13 @@ def verify_witness_data(data: dict,
     if image.order != cert["image_order"]:
         return False, (f"image order {image.order} != certificate "
                        f"{cert['image_order']}")
-    if signs == "full":
-        want = "congruence" if image.order == ambient.order else None
-    elif 2 * image.order == ambient.order:
+    if image.order == ambient.order:
+        want = "congruence" if signs == "full" else "noncongruence"
+    elif 2 * image.order == ambient.order and signs != "full":
         want = "congruence"
-    elif image.order == ambient.order:
-        want = "noncongruence"
     else:
         return False, f"orders {image.order}/{ambient.order} break the dichotomy"
-    if want is not None and claimed != want:
+    if claimed != want:
         return False, f"classification {claimed!r} contradicts orders"
     return True, f"witness re-verified: orders {image.order}/{ambient.order} mod {n}"
 

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from liftlab import cli, verify
-from liftlab.counting import LiftCountReport, count_congruence_lifts_formula
-from liftlab.lifts import find_witness
+from liftlab.counting import count_congruence_lifts_formula
+from liftlab.lifts import classify_all, find_witness
 from liftlab.presentation import generator_set
 
 
@@ -33,8 +33,7 @@ def test_count_formula_json_round_trip(capsys):
     payload = json.loads(out)
     assert len(payload) == 1
     assert payload[0]["count"] == 5
-    assert LiftCountReport.from_dict(payload[0]) == \
-        count_congruence_lifts_formula("gamma", 2)
+    assert payload[0] == count_congruence_lifts_formula("gamma", 2).to_dict()
 
 
 def test_count_rejects_bad_range(capsys):
@@ -137,6 +136,17 @@ def test_full_preimage_forgery_detected():
             data, certificate=dict(data["certificate"], image_order=1))),
         ("contradicts orders", dict(data, classification="congruence")),
     ]
+    # The full preimage itself reaches all of H and is a congruence group.
+    full = json.loads(json.dumps(
+        classify_all("gamma0", 12).descriptors[0].to_dict()))
+    assert full["character"]["free_signs"] == "full"
+    assert verify.verify_witness_data(full)[0]
+    half = full["certificate"]["image_order"] // 2
+    cases += [
+        ("contradicts orders", dict(full, classification="noncongruence")),
+        (f"!= certificate {half}", dict(
+            full, certificate=dict(full["certificate"], image_order=half))),
+    ]
     for complaint, bad in cases:
         ok, message = verify.verify_witness_data(bad)
         assert not ok and complaint in message, (complaint, message)
@@ -238,7 +248,15 @@ def test_out_file_option(capsys, tmp_path):
     assert len(lines) == 3
 
 
-def test_missing_witness_file(capsys):
+def test_missing_witness_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify-witness", "--in", "/no/such/file.json")
     assert code == 1
     assert "error:" in err
+    # a directory where a file belongs is one error line, not a traceback
+    for argv in (["verify-witness", "--in", str(tmp_path)],
+                 ["count", "--group", "gamma0", "--n", "3", "--out",
+                  str(tmp_path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1

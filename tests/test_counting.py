@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -59,8 +60,10 @@ def test_engine_report_details():
 
 def test_report_round_trip():
     rep = counting.count_congruence_lifts_engine("gamma0", 6)
-    again = counting.LiftCountReport.from_dict(rep.to_dict())
-    assert again == rep
+    data = json.loads(json.dumps(rep.to_dict()))
+    assert data == rep.to_dict()
+    assert set(data) == {"family", "level", "count", "source", "branch",
+                         "dim2", "minus_one_in_group", "minus_one_in_squares"}
 
 
 def test_unknown_family_and_level():
@@ -116,9 +119,6 @@ def test_all_congruence_predicates():
     assert counting.all_lifts_congruence_gamma1(1)
     assert counting.all_lifts_congruence_gamma1(4)
     assert not counting.all_lifts_congruence_gamma1(5)
-    assert not counting.gamma_full_has_noncongruence_lift(1)
-    assert not counting.gamma_full_has_noncongruence_lift(2)
-    assert counting.gamma_full_has_noncongruence_lift(3)
 
 
 def test_gamma0_predicate_value_at_seven():
@@ -135,11 +135,3 @@ def test_predicates_are_monotone():
     for n in range(1, 101):
         if not counting.all_lifts_congruence_gamma0(n):
             assert not counting.all_lifts_congruence_gamma1(n), n
-
-
-def test_minus_one_in_family():
-    assert counting.minus_one_in_family("gamma0", 7)
-    assert counting.minus_one_in_family("gamma1", 2)
-    assert not counting.minus_one_in_family("gamma1", 3)
-    assert not counting.minus_one_in_family("gamma", 3)
-    assert counting.minus_one_in_family("gamma", 2)

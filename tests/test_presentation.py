@@ -5,11 +5,10 @@ import pytest
 
 from liftlab import engine, presentation
 from liftlab.matrices import IDENTITY, IntegerMatrix
-from liftlab.presentation import (GeneratorSet, IndexBoundExceeded,
-                                  build_coset_action, coset_action,
-                                  cusp_widths, elliptic_counts, farey_symbol,
-                                  free_rank, general_level, generator_set,
-                                  index_formula, proj_member)
+from liftlab.presentation import (IndexBoundExceeded, build_coset_action,
+                                  coset_action, cusp_widths, elliptic_counts,
+                                  farey_symbol, free_rank, general_level,
+                                  generator_set, index_formula, proj_member)
 
 
 def legendre(a, p):
@@ -176,7 +175,10 @@ def test_gamma1_small_levels_delegate():
 def test_generator_set_round_trip():
     gens = generator_set("gamma0", 9)
     data = json.loads(json.dumps(gens.to_dict()))
-    assert GeneratorSet.from_dict(data) == gens
+    assert data == gens.to_dict()
+    assert data["generators"][0] == {
+        "matrix": list(gens.entries[0][0].entries()),
+        "type": gens.entries[0][1]}
     assert data["kind"] == "gamma0" and data["N"] == 9
     assert set(data) >= {"index", "e2", "e3", "r", "generators"}
 
@@ -191,6 +193,25 @@ def test_coset_action_structure():
     st = action.st_perm()
     for i in range(degree):
         assert st[st[st[i]]] == i
+
+
+def test_cosets_are_numbered_breadth_first():
+    # the coset walk numbers cosets in order of their distance from the
+    # identity's coset along S- and T-steps
+    for family, n in (("gamma0", 12), ("gamma0", 30), ("gamma1", 7)):
+        action = build_coset_action(family, n)
+        dist = [0] + [None] * (action.degree - 1)
+        frontier = [0]
+        while frontier:
+            step = []
+            for i in frontier:
+                for j in (action.s_perm[i], action.t_perm[i]):
+                    if dist[j] is None:
+                        dist[j] = dist[i] + 1
+                        step.append(j)
+            frontier = step
+        assert dist == sorted(dist), (family, n)
+        assert dist[-1] > 2
 
 
 def test_index_bound():
