@@ -58,8 +58,13 @@ def max_modulus_default() -> int:
     return value
 
 
+def effective_max_modulus(max_modulus: int | None) -> int:
+    """The cap that applies: `max_modulus`, or the default when it is None."""
+    return max_modulus if max_modulus is not None else max_modulus_default()
+
+
 def _check_cap(modulus: int, max_modulus: int | None) -> None:
-    cap = max_modulus if max_modulus is not None else max_modulus_default()
+    cap = effective_max_modulus(max_modulus)
     if modulus > cap:
         raise ModulusCapExceeded(modulus, cap)
 
@@ -126,17 +131,20 @@ def _generators_mod(generators: Iterable[Element], n: int) -> list[Element]:
     return gens
 
 
-def _bfs(gens: list[Element], n: int,
-         target: Element | None = None) -> set[Element] | None:
+def _bfs(gens: list[Element], n: int, target: Element | None = None,
+         limit: int | None = None) -> set[Element] | None:
     """Elements reachable from the identity by right multiplication.
 
     In a finite group this set is already closed under inverses, so no
     inverse generators are needed.  Returns None as soon as `target` is
-    reached (the identity counts as reached at once).
+    reached (the identity counts as reached at once) or the set holds
+    more than `limit` elements.
     """
     start = identity(n)
     if start == target:
         return None
+    if limit is None:
+        limit = math.inf
     elements = {start}
     queue = deque([start])
     while queue:
@@ -147,6 +155,8 @@ def _bfs(gens: list[Element], n: int,
                 if y == target:
                     return None
                 elements.add(y)
+                if len(elements) > limit:
+                    return None
                 queue.append(y)
     return elements
 
@@ -170,6 +180,24 @@ def closure_contains(generators: Iterable[Element], n: int,
     if elements is None:
         return True, None
     return False, len(elements)
+
+
+def subgroup_order(generators: Iterable[Element],
+                   group: ResidueMatrixGroup) -> int:
+    """Order of the subgroup of `group` generated by the given elements.
+
+    Raises ValueError unless every generator lies in `group`.  The BFS
+    stops once it holds more than half of `group`: by Lagrange's theorem
+    a subgroup of more than |group|/2 elements is the whole group.  An
+    index-2 subgroup therefore still runs its closure to completion.
+    """
+    n = group.modulus
+    gens = _generators_mod(generators, n)
+    for g in gens:
+        if g not in group.elements:
+            raise ValueError(f"generator {g} lies outside the group mod {n}")
+    elements = _bfs(gens, n, limit=group.order // 2)
+    return group.order if elements is None else len(elements)
 
 
 def _solve_row(c: int, d: int, n: int) -> Element | None:

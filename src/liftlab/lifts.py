@@ -23,13 +23,17 @@ linear solve over F2: every signed generator contributes the row
 (coordinates of its image mod 2N, 1 if its sign is -1), -I contributes
 (coordinates of -I, 1), and the lift is congruence exactly when the
 system is consistent.  This needs the presentation generators together
-with -I to generate H, which one closure per (family, level) checks.
+with -I to generate H, which one closure per (family, level) checks; it
+stops once it holds more than |H|/2 elements, which by Lagrange's
+theorem already means all of H.
 
 Since [Gtilde : L] = 2, the image of L mod 2N is either all of H or a
 subgroup of index 2, and the latter happens exactly for a congruence
 lift; the certificate records the image order derived from the verdict
 (|H|/2 or |H|).  `verify.verify_witness_data` is the one audit of these
-orders: it recomputes them by a full closure of the kernel's generators.
+orders: it recomputes them by a closure in H of the kernel's generators
+(`engine.subgroup_order`), which stops once it holds more than |H|/2
+elements and so completes only for an image of index 2.
 
 The rows depend only on the level, so each level builds one row table,
 and `find_witness` solves for a noncongruence sign vector on it instead
@@ -196,11 +200,19 @@ class LiftDescriptor:
         }
 
 
-# One level's row table and its certificate audits share one H.
-@lru_cache(maxsize=1)
 def full_image(family: str, level: int,
                max_modulus: int | None = None) -> engine.ResidueMatrixGroup:
     """Image of the full preimage in SL2(Z/2N)."""
+    return _full_image_cached(family, level,
+                              engine.effective_max_modulus(max_modulus))
+
+
+# One level's row table and its certificate audits share one H.  The key
+# is the resolved cap, so every call form hits the same entry and a cap
+# lowered later is enforced.
+@lru_cache(maxsize=1)
+def _full_image_cached(family: str, level: int,
+                       max_modulus: int) -> engine.ResidueMatrixGroup:
     group = engine.subgroup_by_membership(
         counting.engine_kind(family), level, 2 * level,
         max_modulus=max_modulus)
@@ -232,21 +244,22 @@ class _LevelRows:
 
 
 @lru_cache(maxsize=1)
-def _level_rows(family: str, level: int,
-                max_modulus: int | None) -> _LevelRows:
+def _level_rows(family: str, level: int, max_modulus: int) -> _LevelRows:
     """The full image mod 2N and its row table, once per level.
 
     Also checks the fact the F2 criterion rests on: the presentation
-    generators together with -I reach every element of H.
+    generators together with -I reach every element of H.  Their closure
+    stops once it holds more than |H|/2 elements (`engine.subgroup_order`).
+    `max_modulus` is the resolved cap, so a cap lowered later misses.
     """
     n = 2 * level
     ambient = full_image(family, level, max_modulus=max_modulus)
     keys = [m.reduce(n).key() for m in generator_set(family, level).matrices()]
     keys.append(engine.minus_identity(n))
-    image = engine.closure(keys, n)
-    if image.order != ambient.order:
+    order = engine.subgroup_order(keys, ambient)
+    if order != ambient.order:
         raise AssertionError(
-            f"presentation generators only reach {image.order} of "
+            f"presentation generators only reach {order} of "
             f"{ambient.order} elements mod {n}")
     return _LevelRows(ambient, keys)
 
@@ -266,7 +279,8 @@ def classify_lift(character: SignCharacter, family: str, level: int,
     a congruence lift and |H| otherwise, H the full image mod 2N.
     """
     n = 2 * level
-    table = _level_rows(family, level, max_modulus)
+    table = _level_rows(family, level,
+                        engine.effective_max_modulus(max_modulus))
     if character.is_full_preimage:
         gens = character.generators.matrices() + (MINUS_IDENTITY,)
         cert = LiftCertificate(table.order, table.order, n)
@@ -321,7 +335,7 @@ class ClassificationReport:
 # is 48 reports; a smaller LRU cache would redo every one of them.
 @lru_cache(maxsize=48)
 def _classify_all_cached(family: str, level: int,
-                         max_modulus: int | None) -> ClassificationReport:
+                         max_modulus: int) -> ClassificationReport:
     generators = generator_set(family, level)
     if generators.e2 == 0 and 2 ** generators.rank > DEFAULT_ENUMERATION_CAP:
         formula = counting.count_congruence_lifts_formula(family, level)
@@ -350,7 +364,8 @@ def classify_all(family: str, level: int,
     """Classify every lift, falling back to counting when 2^r is too big."""
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
-    return _classify_all_cached(family, level, max_modulus)
+    return _classify_all_cached(family, level,
+                                engine.effective_max_modulus(max_modulus))
 
 
 def find_witness(family: str, level: int,
@@ -373,7 +388,8 @@ def find_witness(family: str, level: int,
     """
     generators = generator_set(family, level)
     if generators.e2 == 0:
-        labels = _level_rows(family, level, max_modulus).labels()
+        labels = _level_rows(family, level,
+                             engine.effective_max_modulus(max_modulus)).labels()
         r = generators.rank
         for flip in (None, *range(r - 1, -1, -1)):
             signs = tuple(-1 if i == flip else 1 for i in range(r))

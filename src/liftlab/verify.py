@@ -3,14 +3,17 @@
 Each check_* function returns (passed, detail) and is independently
 callable; run_suite executes them in order with timings.  The checks
 deliberately recompute things through routes different from the ones
-under test (brute-force filters, full closures, closed formulas) so a
+under test (brute-force filters, closures, closed formulas) so a
 pass is evidence and not an echo.
 
 verify_witness_data is the one certificate audit.  It re-validates a
 lift's JSON dict from scratch: the character's free signs must
-regenerate the recorded generator matrices, a full closure mod 2N must
-reproduce the certificate orders, and the orders must fit the congruence
-dichotomy and the claimed classification.  It audits exported witness
+regenerate the recorded generator matrices, their images mod 2N must lie
+in H (the full image), their closure in H must reproduce the certificate
+orders, and the orders must fit the congruence dichotomy and the claimed
+classification.  The closure stops once it holds more than |H|/2
+elements: by Lagrange's theorem that subgroup is H, so only an image of
+index 2 is closed to completion.  It audits exported witness
 files and, in the property suite, every enumerated lift at N <= 24.
 Every witness carries its own free signs; a file with null free_signs is
 rejected.
@@ -46,8 +49,7 @@ class CheckResult:
 
 
 def _engine_range(max_n: int, max_modulus: int | None) -> int:
-    cap = engine.max_modulus_default() if max_modulus is None else max_modulus
-    return min(max_n, cap // 2)
+    return min(max_n, engine.effective_max_modulus(max_modulus) // 2)
 
 
 def check_count_agreement(max_n: int = 48,
@@ -301,13 +303,12 @@ def check_property_suite(max_n: int = 24,
     if pulled:
         parent = find_witness("gamma0", 6, max_modulus=max_modulus)
     for family, n in pulled:
-        image = engine.closure(
-            [g.reduce(2 * n).key()
-             for g in propagate_witness(parent, family, n)], 2 * n)
         ambient = full_image(family, n, max_modulus=max_modulus)
-        if image.order != ambient.order:
-            bad.append(("pull-back image", family, n, image.order,
-                        ambient.order))
+        order = engine.subgroup_order(
+            [g.reduce(2 * n).key()
+             for g in propagate_witness(parent, family, n)], ambient)
+        if order != ambient.order:
+            bad.append(("pull-back image", family, n, order, ambient.order))
         try:
             find_witness(family, n, max_modulus=max_modulus)
         except LookupError:
@@ -332,7 +333,7 @@ def check_property_suite(max_n: int = 24,
         return False, f"property failures: {bad[:6]}"
     return True, (f"group/CRT/Farey invariants hold; {len(pulled)} "
                   f"pull-backs reach H; {checked} certificates re-verified "
-                  f"by full closure")
+                  f"by closure in H")
 
 
 _WITNESS_KEYS = {"kind": (str, "string"), "N": (int, "integer"),
@@ -393,11 +394,13 @@ def verify_witness_data(data: dict,
 
     The recorded generators must be the ones the character regenerates:
     the kernel generators of its signs, or the presentation generators
-    with -I for the full preimage.  A full closure mod 2N must then
-    reproduce the certificate orders, and they must fit the dichotomy:
-    the full preimage reaches all of H and is congruence; a proper lift
-    reaches |H|/2 (congruence) or |H| (noncongruence), as claimed.
-    Raises ValueError when `data` does not have the witness schema.
+    with -I for the full preimage.  Their images mod 2N must lie in H,
+    and their closure in H (`engine.subgroup_order`, which stops past
+    |H|/2 elements) must reproduce the certificate orders.  The orders
+    must fit the dichotomy: the full preimage reaches all of H and is
+    congruence; a proper lift reaches |H|/2 (congruence) or |H|
+    (noncongruence), as claimed.  Raises ValueError when `data` does not
+    have the witness schema.
     """
     _check_witness_schema(data)
     family = data["kind"]
@@ -418,22 +421,26 @@ def verify_witness_data(data: dict,
     recorded = [IntegerMatrix(*row) for row in data["generators"]]
     if recorded != expected:
         return False, "recorded generators do not match the character"
-    image = engine.closure([m.reduce(n).key() for m in recorded], n)
+    try:
+        image_order = engine.subgroup_order(
+            [m.reduce(n).key() for m in recorded], ambient)
+    except ValueError as exc:
+        return False, f"recorded generators leave H: {exc}"
     if ambient.order != cert["full_image_order"]:
         return False, (f"full image order {ambient.order} != certificate "
                        f"{cert['full_image_order']}")
-    if image.order != cert["image_order"]:
-        return False, (f"image order {image.order} != certificate "
+    if image_order != cert["image_order"]:
+        return False, (f"image order {image_order} != certificate "
                        f"{cert['image_order']}")
-    if image.order == ambient.order:
+    if image_order == ambient.order:
         want = "congruence" if signs == "full" else "noncongruence"
-    elif 2 * image.order == ambient.order and signs != "full":
+    elif 2 * image_order == ambient.order and signs != "full":
         want = "congruence"
     else:
-        return False, f"orders {image.order}/{ambient.order} break the dichotomy"
+        return False, f"orders {image_order}/{ambient.order} break the dichotomy"
     if claimed != want:
         return False, f"classification {claimed!r} contradicts orders"
-    return True, f"witness re-verified: orders {image.order}/{ambient.order} mod {n}"
+    return True, f"witness re-verified: orders {image_order}/{ambient.order} mod {n}"
 
 
 CHECKS = (

@@ -5,6 +5,7 @@ import pytest
 from liftlab import cli, verify
 from liftlab.counting import count_congruence_lifts_formula
 from liftlab.lifts import classify_all, find_witness
+from liftlab.matrices import IntegerMatrix
 from liftlab.presentation import generator_set
 
 
@@ -150,6 +151,19 @@ def test_full_preimage_forgery_detected():
     for complaint, bad in cases:
         ok, message = verify.verify_witness_data(bad)
         assert not ok and complaint in message, (complaint, message)
+
+
+def test_generator_outside_h_is_rejected(monkeypatch):
+    # A kernel generator that leaves H (S is not in Gamma0(12)) must fail
+    # the audit, even though the closure then reaches more than |H|/2.
+    s = IntegerMatrix(0, -1, 1, 0)
+    regenerate = verify.lift_generators
+    monkeypatch.setattr(verify, "lift_generators",
+                        lambda character: regenerate(character) + (s,))
+    data = json.loads(json.dumps(find_witness("gamma0", 12).to_dict()))
+    data["generators"].append(list(s.entries()))
+    ok, message = verify.verify_witness_data(data)
+    assert not ok and "leave H" in message, message
 
 
 @pytest.mark.parametrize("payload, complaint", [

@@ -85,6 +85,47 @@ def test_closure_contains_agrees_with_closure():
             engine.closure_contains([(1, 0, 0, 2)], n, engine.identity(n))
 
 
+def test_subgroup_order_agrees_with_closure():
+    rng = random.Random(17)
+    step = [(1, 1, 0, 1), (0, -1, 1, 0), (1, 0, 1, 1), (1, 2, 0, 1)]
+    for n in (2, 5, 8, 12):
+        whole = engine.subgroup_by_membership("full", 1, n)
+        everything = sorted(whole.elements)
+        cases = [[], [engine.identity(n)], [(1, 1, 0, 1), (0, -1, 1, 0)]]
+        cases += [[rng.choice(step) for _ in range(rng.randrange(1, 3))]
+                  for _ in range(10)]
+        cases += [rng.sample(everything, rng.randrange(1, 3))
+                  for _ in range(5)]
+        for gens in cases:
+            assert engine.subgroup_order(gens, whole) == (
+                engine.closure(gens, n).order), (n, gens)
+        assert engine.subgroup_order([], whole) == 1
+        assert engine.subgroup_order(cases[2], whole) == whole.order
+
+
+def test_subgroup_order_completes_an_index_two_subgroup():
+    # The elements of one two-quotient coordinate 0 form a subgroup of
+    # index 2, exactly |group|/2 elements: the BFS must not stop there.
+    rng = random.Random(19)
+    for kind, level in (("gamma0", 6), ("gamma1", 4), ("full", 1)):
+        group = engine.subgroup_by_membership(kind, level, 2 * level)
+        labels = engine.two_quotient(group).labels
+        half = sorted(x for x in group.elements if not labels[x] & 1)
+        assert 2 * len(half) == group.order
+        assert engine.subgroup_order(half, group) == group.order // 2
+        gens = rng.sample(half, 3)
+        assert engine.subgroup_order(gens, group) == (
+            engine.closure(gens, group.modulus).order)
+
+
+def test_subgroup_order_rejects_generators_outside_the_group():
+    group = engine.subgroup_by_membership("gamma0", 3, 6)
+    with pytest.raises(ValueError, match="outside"):
+        engine.subgroup_order([(1, 1, 0, 1), (0, -1, 1, 0)], group)
+    with pytest.raises(ValueError, match="determinant"):
+        engine.subgroup_order([(1, 0, 0, 2)], group)
+
+
 def test_f2_consistent_hand_built_systems():
     assert engine.f2_consistent([])
     assert engine.f2_consistent([(0, 0)])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from liftlab import engine, verify
+from liftlab import engine, lifts, verify
 from liftlab.lifts import (LiftCertificate, SignCharacter, classify_all,
                            classify_lift, enumerate_lifts, find_witness,
                            full_image, lift_generators, propagate_witness)
@@ -291,3 +291,26 @@ def test_certificates_survive_independent_closure():
                 assert image.order == full_order
             else:
                 assert 2 * image.order == full_order
+
+
+def test_level_caches_key_on_the_resolved_cap(monkeypatch):
+    monkeypatch.delenv("LIFTLAB_MAX_MODULUS", raising=False)
+    caches = (lifts._full_image_cached, lifts._level_rows,
+              lifts._classify_all_cached)
+    for cache in caches:
+        cache.cache_clear()
+    full_image("gamma0", 12)
+    find_witness("gamma0", 12)
+    classify_all("gamma0", 12)
+    misses = [cache.cache_info().misses for cache in caches]
+    # Every call form names the same entry: each lookup below is a hit.
+    full_image("gamma0", 12, max_modulus=None)
+    full_image("gamma0", 12, engine.DEFAULT_MAX_MODULUS)
+    find_witness("gamma0", 12, max_modulus=None)
+    classify_all("gamma0", 12, max_modulus=engine.DEFAULT_MAX_MODULUS)
+    assert [cache.cache_info().misses for cache in caches] == misses
+    # A cap lowered afterwards is enforced, not answered from the cache.
+    monkeypatch.setenv("LIFTLAB_MAX_MODULUS", "4")
+    for call in (full_image, find_witness, classify_all):
+        with pytest.raises(engine.ModulusCapExceeded):
+            call("gamma0", 12)
