@@ -48,6 +48,13 @@ def parse_level_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True, choices=counting.FAMILIES)
         p.add_argument("--n", required=True,
                        help="level k or inclusive range a..b")
-        p.add_argument("--max-modulus", type=int, default=None)
+        p.add_argument("--max-modulus", type=positive_int, default=None)
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("count", help="congruence lift counts")
@@ -262,18 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_presentation)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--max-n", type=int, default=24)
+    p.add_argument("--max-n", type=positive_int, default=24)
     p.add_argument("--seed-tamper", action="store_true",
                    help="negative control: corrupt one witness sign and "
                         "demand the suite notices")
-    p.add_argument("--max-modulus", type=int, default=None)
+    p.add_argument("--max-modulus", type=positive_int, default=None)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("verify-witness", help="re-validate a witness file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--max-modulus", type=int, default=None)
+    p.add_argument("--max-modulus", type=positive_int, default=None)
     p.set_defaults(fn=cmd_verify_witness)
 
     return parser

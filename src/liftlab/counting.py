@@ -115,30 +115,29 @@ def count_congruence_lifts_formula(family: str, level: int) -> LiftCountReport:
 
 def count_congruence_lifts_engine(family: str, level: int,
                                   max_modulus: int | None = None) -> LiftCountReport:
-    """Engine count: build Gamma/Gamma(2N) and apply the d/-I trichotomy."""
+    """Engine count: build Gamma/Gamma(2N) and apply the d/-I trichotomy.
+
+    When -I is not in G, <G, -I> is G x <-I>: its two-quotient has one
+    more coordinate than G's, and -I lies outside its squares subgroup
+    (as it lies outside G's).
+    """
     _require_level(level)
-    kind = engine_kind(family)
-    n = 2 * level
-    group = engine.subgroup_by_membership(kind, level, n,
-                                          max_modulus=max_modulus)
-    minus_in_gamma = engine.contains_minus_one(group)
-    if not minus_in_gamma:
-        group = engine.adjoin_minus_identity(group)
-    quotient = engine.two_quotient(group)
-    neg = engine.minus_identity(n)
-    minus_in_squares = neg in quotient.squares.elements
-    if minus_in_squares:
+    summary = engine.quotient_summary(engine_kind(family), level,
+                                      max_modulus=max_modulus)
+    minus_in_gamma = summary.minus_one_in_group
+    dim2 = summary.dim2 + (not minus_in_gamma)
+    if summary.minus_one_in_squares:
         count = 1
         branch = "-1 in squares subgroup"
     else:
-        count = 1 + 2 ** (quotient.dim2 - 1)
+        count = 1 + 2 ** (dim2 - 1)
         branch = ("-1 outside squares subgroup" if minus_in_gamma
                   else "-1 adjoined, outside squares subgroup")
     return LiftCountReport(
         family, level, count, "engine", branch,
-        dim2=quotient.dim2,
+        dim2=dim2,
         minus_one_in_group=minus_in_gamma,
-        minus_one_in_squares=minus_in_squares,
+        minus_one_in_squares=summary.minus_one_in_squares,
     )
 
 

@@ -282,11 +282,6 @@ def adjoin_minus_identity(group: ResidueMatrixGroup) -> ResidueMatrixGroup:
     return ResidueMatrixGroup(n, frozenset(extended), group.generators)
 
 
-def contains_minus_one(group: ResidueMatrixGroup) -> bool:
-    """Whether the image of -I lies in the group (trivially true for n <= 2)."""
-    return minus_identity(group.modulus) in group.elements
-
-
 def squares_subgroup(group: ResidueMatrixGroup) -> ResidueMatrixGroup:
     """Subgroup generated by all squares g^2, g in G.
 

@@ -23,9 +23,9 @@ linear solve over F2: every signed generator contributes the row
 (coordinates of its image mod 2N, 1 if its sign is -1), -I contributes
 (coordinates of -I, 1), and the lift is congruence exactly when the
 system is consistent.  This needs the presentation generators together
-with -I to generate H, which one closure per (family, level) checks; it
-stops once it holds more than |H|/2 elements, which by Lagrange's
-theorem already means all of H.
+with -I to generate H, which one closure per H checks; it stops once it
+holds more than |H|/2 elements, which by Lagrange's theorem already means
+all of H.
 
 Since [Gtilde : L] = 2, the image of L mod 2N is either all of H or a
 subgroup of index 2, and the latter happens exactly for a congruence
@@ -35,12 +35,15 @@ orders: it recomputes them by a closure in H of the kernel's generators
 (`engine.subgroup_order`), which stops once it holds more than |H|/2
 elements and so completes only for an image of index 2.
 
-The rows depend only on the level, so each level builds one row table,
-and `find_witness` solves for a noncongruence sign vector on it instead
-of enumerating lifts; every lift and every witness has a character.
-`propagate_witness` keeps the paper's pull-back, the Schreier generators
-of a smaller group's preimage inside a witness, for a cross-check in
-`verify`.
+A lift is recorded by its `SignCharacter` alone: the character's
+generator set names the family and the level, and `lift_generators`
+derives the lift's generators from it (for the full preimage, the
+character with no sign vector, the presentation generators and -I).
+Each level caches one H and, for its first proper lift, the row labels,
+and `find_witness` solves for a noncongruence sign vector on them
+instead of enumerating lifts.  `propagate_witness` keeps the paper's
+pull-back, the Schreier generators of a smaller group's preimage inside
+a witness, for a cross-check in `verify`.
 """
 
 from __future__ import annotations
@@ -63,25 +66,26 @@ class SignCharacter:
     """A sign assignment to the generators of the full preimage.
 
     `free_signs` lists one sign per free generator, in generator order;
-    the full preimage itself is carried as the marker with
-    `is_full_preimage` set (it is not the kernel of any character).
+    None stands for the full preimage itself, which is not the kernel of
+    any character.
     """
 
     generators: GeneratorSet
     free_signs: tuple[int, ...] | None
-    is_full_preimage: bool = False
 
     def __post_init__(self):
-        if self.is_full_preimage:
-            if self.free_signs is not None:
-                raise ValueError("the full preimage carries no sign vector")
+        if self.free_signs is None:
             return
         free = self.generators.by_type("free")
-        if self.free_signs is None or len(self.free_signs) != len(free):
+        if len(self.free_signs) != len(free):
             raise ValueError(
                 f"expected {len(free)} free signs, got {self.free_signs}")
         if any(s not in (1, -1) for s in self.free_signs):
             raise ValueError("signs must be +1 or -1")
+
+    @property
+    def is_full_preimage(self) -> bool:
+        return self.free_signs is None
 
     def signed_generators(self) -> tuple[tuple[IntegerMatrix, int], ...]:
         """(matrix, sign) pairs for every generator; odd signs are forced."""
@@ -107,7 +111,7 @@ def enumerate_lifts(generators: GeneratorSet) -> list[SignCharacter]:
     it the 2^r sign vectors on the free generators follow in
     lexicographic order (+1 before -1).
     """
-    lifts = [SignCharacter(generators, None, is_full_preimage=True)]
+    lifts = [SignCharacter(generators, None)]
     if generators.e2 > 0:
         return lifts
     for signs in itertools.product((1, -1), repeat=generators.rank):
@@ -133,11 +137,13 @@ def _schreier_filter(candidates: Iterable[IntegerMatrix]) -> list[IntegerMatrix]
 
 
 def lift_generators(character: SignCharacter) -> tuple[IntegerMatrix, ...]:
-    """Generators of the index-2 kernel of a sign character.
+    """Generators of the lift a sign character names.
 
-    Schreier generators over the two cosets {kernel, w*kernel}, where the
-    transversal element w is the first free generator of sign -1 and -I
-    when every sign is +1.  For each generator x of the full preimage,
+    The full preimage is generated by the presentation generators and -I.
+    Any other lift is the index-2 kernel of its character, generated by
+    the Schreier generators over the two cosets {kernel, w*kernel}, where
+    the transversal element w is the first free generator of sign -1 and
+    -I when every sign is +1.  For each generator x of the full preimage,
     including -I:
 
         sign +1:  emit x and w*x*w^(-1)
@@ -146,8 +152,7 @@ def lift_generators(character: SignCharacter) -> tuple[IntegerMatrix, ...]:
     Identity, duplicates and inverse duplicates are dropped.
     """
     if character.is_full_preimage:
-        raise ValueError("the full preimage is generated by the presentation "
-                         "generators together with -I; no kernel to take")
+        return character.generators.matrices() + (MINUS_IDENTITY,)
     signed = list(character.signed_generators()) + [(MINUS_IDENTITY, -1)]
     w = next(m for m, sign in signed if sign == -1)
     w_inv = w.inverse()
@@ -172,14 +177,26 @@ class LiftCertificate:
 
 @dataclass(frozen=True)
 class LiftDescriptor:
-    """One lift: its character, kernel generators, and classification."""
+    """One lift: its character, classification and certificate.
 
-    family: str
-    level: int
+    The family, level and generators are read from the character.
+    """
+
     character: SignCharacter
-    generators: tuple[IntegerMatrix, ...]
     classification: str
     certificate: LiftCertificate
+
+    @property
+    def family(self) -> str:
+        return self.character.generators.family
+
+    @property
+    def level(self) -> int:
+        return self.character.generators.level
+
+    @property
+    def generators(self) -> tuple[IntegerMatrix, ...]:
+        return lift_generators(self.character)
 
     @property
     def is_full_preimage(self) -> bool:
@@ -202,66 +219,49 @@ class LiftDescriptor:
 
 def full_image(family: str, level: int,
                max_modulus: int | None = None) -> engine.ResidueMatrixGroup:
-    """Image of the full preimage in SL2(Z/2N)."""
+    """Image H of the full preimage in SL2(Z/2N).
+
+    Building H also checks the fact the F2 criterion rests on: the
+    presentation generators together with -I reach every element of H.
+    """
     return _full_image_cached(family, level,
                               engine.effective_max_modulus(max_modulus))
 
 
-# One level's row table and its certificate audits share one H.  The key
-# is the resolved cap, so every call form hits the same entry and a cap
+# A level's classification and its audits share one H.  The level caches
+# key on the resolved cap, so every call form hits one entry and a cap
 # lowered later is enforced.
 @lru_cache(maxsize=1)
 def _full_image_cached(family: str, level: int,
                        max_modulus: int) -> engine.ResidueMatrixGroup:
-    group = engine.subgroup_by_membership(
-        counting.engine_kind(family), level, 2 * level,
-        max_modulus=max_modulus)
-    return engine.adjoin_minus_identity(group)
+    n = 2 * level
+    group = engine.adjoin_minus_identity(engine.subgroup_by_membership(
+        counting.engine_kind(family), level, n, max_modulus=max_modulus))
+    order = engine.subgroup_order(_full_preimage_keys(family, level), group)
+    if order != group.order:
+        raise AssertionError(
+            f"presentation generators only reach {order} of "
+            f"{group.order} elements mod {n}")
+    return group
 
 
-class _LevelRows:
-    """|H|, H the full image mod 2N, and the F2 row table of the level.
-
-    The table is the two-quotient label of each presentation generator, in
-    generator order, then of -I.  It is built on the first proper lift and
-    the group is then dropped, so a level whose only lift is the full
-    preimage never pays for the two-quotient.
-    """
-
-    def __init__(self, group: engine.ResidueMatrixGroup,
-                 keys: list[engine.Element]):
-        self.order = group.order
-        self._pending = (group, keys)
-        self._labels: tuple[int, ...] | None = None
-
-    def labels(self) -> tuple[int, ...]:
-        if self._labels is None:
-            group, keys = self._pending
-            labels = engine.two_quotient(group).labels
-            self._labels = tuple(labels[k] for k in keys)
-            self._pending = None
-        return self._labels
+def _full_preimage_keys(family: str, level: int) -> list[engine.Element]:
+    """The presentation generators, then -I, reduced mod 2N."""
+    full = SignCharacter(generator_set(family, level), None)
+    return [m.reduce(2 * level).key() for m in lift_generators(full)]
 
 
 @lru_cache(maxsize=1)
-def _level_rows(family: str, level: int, max_modulus: int) -> _LevelRows:
-    """The full image mod 2N and its row table, once per level.
+def _level_labels(family: str, level: int,
+                  max_modulus: int) -> tuple[int, ...]:
+    """The F2 row table: two-quotient labels of `_full_preimage_keys`.
 
-    Also checks the fact the F2 criterion rests on: the presentation
-    generators together with -I reach every element of H.  Their closure
-    stops once it holds more than |H|/2 elements (`engine.subgroup_order`).
-    `max_modulus` is the resolved cap, so a cap lowered later misses.
+    Only proper lifts ask for it, so a level whose only lift is the full
+    preimage never pays for the two-quotient.
     """
-    n = 2 * level
-    ambient = full_image(family, level, max_modulus=max_modulus)
-    keys = [m.reduce(n).key() for m in generator_set(family, level).matrices()]
-    keys.append(engine.minus_identity(n))
-    order = engine.subgroup_order(keys, ambient)
-    if order != ambient.order:
-        raise AssertionError(
-            f"presentation generators only reach {order} of "
-            f"{ambient.order} elements mod {n}")
-    return _LevelRows(ambient, keys)
+    labels = engine.two_quotient(
+        full_image(family, level, max_modulus=max_modulus)).labels
+    return tuple(labels[k] for k in _full_preimage_keys(family, level))
 
 
 def _is_congruence(character: SignCharacter, labels: tuple[int, ...]) -> bool:
@@ -271,29 +271,25 @@ def _is_congruence(character: SignCharacter, labels: tuple[int, ...]) -> bool:
         (label, int(sign == -1)) for label, sign in zip(labels, signs))
 
 
-def classify_lift(character: SignCharacter, family: str, level: int,
+def classify_lift(character: SignCharacter,
                   max_modulus: int | None = None) -> LiftDescriptor:
     """Classify one lift by solving for its character over F2.
 
-    The certificate's image order is derived from the verdict: |H|/2 for
-    a congruence lift and |H| otherwise, H the full image mod 2N.
+    The family and level are those of the character's generators.  The
+    certificate's image order is derived from the verdict: |H|/2 for a
+    proper congruence lift and |H| otherwise, H the full image mod 2N.
     """
-    n = 2 * level
-    table = _level_rows(family, level,
-                        engine.effective_max_modulus(max_modulus))
+    family, level = character.generators.family, character.generators.level
+    cap = engine.effective_max_modulus(max_modulus)
+    order = _full_image_cached(family, level, cap).order
     if character.is_full_preimage:
-        gens = character.generators.matrices() + (MINUS_IDENTITY,)
-        cert = LiftCertificate(table.order, table.order, n)
-        return LiftDescriptor(family, level, character, tuple(gens),
-                              "congruence", cert)
-    gens = lift_generators(character)
-    if _is_congruence(character, table.labels()):
-        classification, image_order = "congruence", table.order // 2
+        classification, image_order = "congruence", order
+    elif _is_congruence(character, _level_labels(family, level, cap)):
+        classification, image_order = "congruence", order // 2
     else:
-        classification, image_order = "noncongruence", table.order
-    return LiftDescriptor(family, level, character, tuple(gens),
-                          classification,
-                          LiftCertificate(image_order, table.order, n))
+        classification, image_order = "noncongruence", order
+    return LiftDescriptor(character, classification,
+                          LiftCertificate(image_order, order, 2 * level))
 
 
 @dataclass(frozen=True)
@@ -346,8 +342,7 @@ def _classify_all_cached(family: str, level: int,
     descriptors = []
     witness = None
     for character in enumerate_lifts(generators):
-        descriptor = classify_lift(character, family, level,
-                                   max_modulus=max_modulus)
+        descriptor = classify_lift(character, max_modulus=max_modulus)
         descriptors.append(descriptor)
         if witness is None and descriptor.classification == "noncongruence":
             witness = descriptor
@@ -388,15 +383,13 @@ def find_witness(family: str, level: int,
     """
     generators = generator_set(family, level)
     if generators.e2 == 0:
-        labels = _level_rows(family, level,
-                             engine.effective_max_modulus(max_modulus)).labels()
         r = generators.rank
         for flip in (None, *range(r - 1, -1, -1)):
             signs = tuple(-1 if i == flip else 1 for i in range(r))
-            character = SignCharacter(generators, signs)
-            if not _is_congruence(character, labels):
-                return classify_lift(character, family, level,
-                                     max_modulus=max_modulus)
+            descriptor = classify_lift(SignCharacter(generators, signs),
+                                       max_modulus=max_modulus)
+            if descriptor.classification == "noncongruence":
+                return descriptor
     raise LookupError(
         f"every lift of {family}({level}) is a congruence group")
 

@@ -392,9 +392,8 @@ def verify_witness_data(data: dict,
                         max_modulus: int | None = None) -> tuple[bool, str]:
     """Re-validate an exported lift dict from first principles.
 
-    The recorded generators must be the ones the character regenerates:
-    the kernel generators of its signs, or the presentation generators
-    with -I for the full preimage.  Their images mod 2N must lie in H,
+    The recorded generators must be the ones the character regenerates
+    (`lifts.lift_generators`).  Their images mod 2N must lie in H,
     and their closure in H (`engine.subgroup_order`, which stops past
     |H|/2 elements) must reproduce the certificate orders.  The orders
     must fit the dichotomy: the full preimage reaches all of H and is
@@ -413,11 +412,9 @@ def verify_witness_data(data: dict,
     n = 2 * level
     # full_image enforces the modulus cap before any closure runs.
     ambient = full_image(family, level, max_modulus=max_modulus)
-    gens = generator_set(family, level)
-    if signs == "full":
-        expected = list(gens.matrices()) + [IntegerMatrix(-1, 0, 0, -1)]
-    else:
-        expected = list(lift_generators(SignCharacter(gens, tuple(signs))))
+    character = SignCharacter(generator_set(family, level),
+                              None if signs == "full" else tuple(signs))
+    expected = list(lift_generators(character))
     recorded = [IntegerMatrix(*row) for row in data["generators"]]
     if recorded != expected:
         return False, "recorded generators do not match the character"
@@ -433,8 +430,8 @@ def verify_witness_data(data: dict,
         return False, (f"image order {image_order} != certificate "
                        f"{cert['image_order']}")
     if image_order == ambient.order:
-        want = "congruence" if signs == "full" else "noncongruence"
-    elif 2 * image_order == ambient.order and signs != "full":
+        want = "congruence" if character.is_full_preimage else "noncongruence"
+    elif 2 * image_order == ambient.order and not character.is_full_preimage:
         want = "congruence"
     else:
         return False, f"orders {image_order}/{ambient.order} break the dichotomy"

@@ -231,6 +231,22 @@ def test_verify_subset_passes(capsys):
     assert "8/8 checks passed" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-n", "0"],
+    ["verify", "--max-n", "-3"],
+    ["verify", "--max-modulus", "0"],
+    ["count", "--group", "gamma0", "--n", "4", "--max-modulus", "-1"],
+    ["verify-witness", "--in", "w.json", "--max-modulus", "0"],
+])
+def test_bounds_below_one_are_usage_errors(capsys, argv):
+    # A bound below 1 would check nothing; it must not pass as a run.
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 1
+    _, err = capsys.readouterr()
+    assert "must be at least 1" in err
+
+
 def test_verify_seed_tamper_flags_census(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "5", "--seed-tamper")
     assert code == 2

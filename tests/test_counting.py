@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from liftlab import counting
+from liftlab import counting, engine
 
 
 def test_formula_gamma0_values():
@@ -56,6 +56,26 @@ def test_engine_report_details():
     rep_g1 = counting.count_congruence_lifts_engine("gamma1", 5)
     assert not rep_g1.minus_one_in_group
     assert rep_g1.count == 3
+
+
+def test_engine_report_matches_the_adjoined_group():
+    # Without -I in G the report is read off G alone; the two-quotient of
+    # <G, -I> built explicitly must give the same dim2 and -I flags.
+    for family, level in (("gamma1", 3), ("gamma1", 5), ("gamma1", 8),
+                          ("gamma1", 12), ("gamma", 2), ("gamma", 3),
+                          ("gamma", 6), ("gamma", 10), ("gamma0", 12)):
+        report = counting.count_congruence_lifts_engine(family, level)
+        n = 2 * level
+        group = engine.subgroup_by_membership(
+            counting.engine_kind(family), level, n)
+        neg = engine.minus_identity(n)
+        in_group = neg in group.elements
+        quotient = engine.two_quotient(
+            group if in_group else engine.adjoin_minus_identity(group))
+        assert (report.dim2, report.minus_one_in_group,
+                report.minus_one_in_squares) == (
+            quotient.dim2, in_group, neg in quotient.squares.elements), (
+            family, level)
 
 
 def test_report_round_trip():

@@ -149,9 +149,9 @@ def test_f2_consistent_hand_built_systems():
 
 def test_adjoin_minus_identity():
     group = engine.subgroup_by_membership("gamma1", 5, 10)
-    assert not engine.contains_minus_one(group)
+    assert engine.minus_identity(10) not in group.elements
     bigger = engine.adjoin_minus_identity(group)
-    assert engine.contains_minus_one(bigger)
+    assert engine.minus_identity(10) in bigger.elements
     assert bigger.order == 2 * group.order
     assert engine.adjoin_minus_identity(bigger).order == bigger.order
 

@@ -34,13 +34,12 @@ def test_sign_character_validation():
         SignCharacter(gens, (1, 1))
     with pytest.raises(ValueError):
         SignCharacter(gens, (1, 0, 1))
-    with pytest.raises(ValueError):
-        SignCharacter(gens, (1, 1, 1), is_full_preimage=True)
-    full = SignCharacter(gens, None, is_full_preimage=True)
+    full = SignCharacter(gens, None)
+    assert full.is_full_preimage
     with pytest.raises(ValueError):
         full.signed_generators()
-    with pytest.raises(ValueError):
-        lift_generators(full)
+    assert lift_generators(full) == gens.matrices() + (
+        IntegerMatrix(-1, 0, 0, -1),)
     # even torsion blocks every proper lift
     with pytest.raises(ValueError):
         SignCharacter(generator_set("gamma0", 5), (1,)).signed_generators()
@@ -130,10 +129,23 @@ def test_kernel_generators_drop_identity_repeats_and_inverses():
 
 def test_is_congruence_helper():
     gens = generator_set("gamma1", 5)
-    assert classify_lift(SignCharacter(gens, (1, 1, 1)), "gamma1",
-                         5).classification == "congruence"
-    assert classify_lift(SignCharacter(gens, (-1, 1, 1)), "gamma1",
-                         5).classification == "noncongruence"
+    assert classify_lift(SignCharacter(gens, (1, 1, 1))
+                         ).classification == "congruence"
+    assert classify_lift(SignCharacter(gens, (-1, 1, 1))
+                         ).classification == "noncongruence"
+
+
+def test_descriptors_read_family_level_and_generators_from_the_character():
+    # A descriptor stores only its character, verdict and certificate.
+    for family, n in (("gamma0", 5), ("gamma0", 6), ("gamma1", 5),
+                      ("gamma1", 6)):
+        gens = generator_set(family, n)
+        descriptors = classify_all(family, n).descriptors
+        for d in descriptors:
+            assert (d.family, d.level) == (gens.family, gens.level)
+            assert d.generators == lift_generators(d.character)
+        assert descriptors[0].generators == gens.matrices() + (
+            IntegerMatrix(-1, 0, 0, -1),)
 
 
 def test_f2_verdicts_agree_with_closure_beyond_24():
@@ -295,7 +307,7 @@ def test_certificates_survive_independent_closure():
 
 def test_level_caches_key_on_the_resolved_cap(monkeypatch):
     monkeypatch.delenv("LIFTLAB_MAX_MODULUS", raising=False)
-    caches = (lifts._full_image_cached, lifts._level_rows,
+    caches = (lifts._full_image_cached, lifts._level_labels,
               lifts._classify_all_cached)
     for cache in caches:
         cache.cache_clear()
