@@ -214,6 +214,10 @@ def cmd_presentation(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed_tamper and args.max_n < 5:
+        print("error: --seed-tamper needs --max-n 5 or more to reach the "
+              "gamma1(5) witness it tampers with", file=sys.stderr)
+        return EXIT_USAGE
     results = verify.run_suite(max_n=args.max_n, seed_tamper=args.seed_tamper,
                                max_modulus=args.max_modulus)
     if args.format == "json":

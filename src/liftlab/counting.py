@@ -16,8 +16,8 @@ The two routes share no code and are kept separate deliberately; their
 agreement over a whole modulus range is the main acceptance check.
 
 The all-congruence predicates are derived from the closed-form count and
-the number of lifts read off the coset action; exhaustive classification
-checks them in `verify`.
+the number of lifts read off the coset action; `verify` checks both
+against the F2 lift census of `lifts.classify_all`, counted levels too.
 """
 
 from __future__ import annotations

@@ -348,28 +348,27 @@ def two_quotient(group: ResidueMatrixGroup) -> TwoQuotient:
     return TwoQuotient(group, squares, dim, labels)
 
 
-def f2_consistent(rows: Iterable[tuple[int, int]]) -> bool:
-    """Whether some F2-linear functional phi has phi(mask) = bit on every row.
+def f2_dependencies(rows: Iterable[tuple[int, int]]) -> list[int]:
+    """Payloads of the rows that XOR elimination reduces to mask 0.
 
-    Each row is (mask, bit), the mask an F2 vector packed into an int.
-    Gaussian elimination keeps one reduced row per leading bit; the system
-    is inconsistent exactly when a row reduces to mask 0 with bit 1 (a row
-    (0, 1) on its own is already inconsistent).
+    Rows are (mask, payload) pairs of packed F2 vectors, and each payload
+    returned XORs those of rows whose masks cancel: one per row beyond
+    the rank.  Rows (mask, bit) are solvable iff every one returned is 0.
     """
     pivots: dict[int, tuple[int, int]] = {}
-    for mask, bit in rows:
+    dependent = []
+    for mask, payload in rows:
         while mask:
             lead = mask.bit_length() - 1
             if lead not in pivots:
-                pivots[lead] = (mask, bit)
+                pivots[lead] = (mask, payload)
                 break
-            pivot_mask, pivot_bit = pivots[lead]
+            pivot_mask, pivot_payload = pivots[lead]
             mask ^= pivot_mask
-            bit ^= pivot_bit
+            payload ^= pivot_payload
         else:
-            if bit:
-                return False
-    return True
+            dependent.append(payload)
+    return dependent
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,16 @@ that is, exactly when its sign character factors through the image H of
 the full preimage in SL2(Z/2N).  The character takes values +1 and -1,
 so it factors through H exactly when it factors through the two-quotient
 H/H'H^2, an F2 vector space whose coordinates `engine.two_quotient`
-assigns to every element.  Each lift is therefore classified by one
-linear solve over F2: every signed generator contributes the row
-(coordinates of its image mod 2N, 1 if its sign is -1), -I contributes
-(coordinates of -I, 1), and the lift is congruence exactly when the
-system is consistent.  This needs the presentation generators together
-with -I to generate H, which one closure per H checks; it stops once it
-holds more than |H|/2 elements, which by Lagrange's theorem already means
-all of H.
+assigns to every element.  One elimination per level decides all lifts:
+where the labels of the rows of the odd generators (forced sign bits),
+-I (bit 1) and the free generators (unknown sign bits) cancel, they
+leave the level's cached congruence conditions, pairs (mask, bit) that a
+congruence lift's sign vector meets with parity.  They classify each
+lift, count the lifts (`classify_all`; "counted" without descriptors once
+2^r > 512) and name the witness (`find_witness`).  This needs the
+presentation generators together with -I to generate H, which one
+closure per H checks; it stops once it holds more than |H|/2 elements,
+which by Lagrange's theorem already means all of H.
 
 Since [Gtilde : L] = 2, the image of L mod 2N is either all of H or a
 subgroup of index 2, and the latter happens exactly for a congruence
@@ -39,9 +41,7 @@ A lift is recorded by its `SignCharacter` alone: the character's
 generator set names the family and the level, and `lift_generators`
 derives the lift's generators from it (for the full preimage, the
 character with no sign vector, the presentation generators and -I).
-Each level caches one H and, for its first proper lift, the row labels,
-and `find_witness` solves for a noncongruence sign vector on them
-instead of enumerating lifts.  `propagate_witness` keeps the paper's
+Each level caches one H.  `propagate_witness` keeps the paper's
 pull-back, the Schreier generators of a smaller group's preimage inside
 a witness, for a cross-check in `verify`.
 """
@@ -252,28 +252,31 @@ def _full_preimage_keys(family: str, level: int) -> list[engine.Element]:
 
 
 @lru_cache(maxsize=1)
-def _level_labels(family: str, level: int,
-                  max_modulus: int) -> tuple[int, ...]:
-    """The F2 row table: two-quotient labels of `_full_preimage_keys`.
+def _congruence_conditions(family: str, level: int,
+                           max_modulus: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (mask, bit) met by the sign vector x of every congruence lift.
 
-    Only proper lifts ask for it, so a level whose only lift is the full
-    preimage never pays for the two-quotient.
+    x has bit i set when free sign i is -1 and meets (mask, bit) when
+    mask & x has parity bit.  Row payloads pack variables << 1 | bit.
     """
+    generators = generator_set(family, level)
+    # signed_generators forces the odd signs and rejects even torsion
+    signed = SignCharacter(generators,
+                           (1,) * generators.rank).signed_generators()
+    free_bits = itertools.count(1)
+    payloads = [1 << next(free_bits) if kind == "free" else int(sign == -1)
+                for (_, sign), (_, kind) in zip(signed, generators.entries)]
+    payloads.append(1)
     labels = engine.two_quotient(
         full_image(family, level, max_modulus=max_modulus)).labels
-    return tuple(labels[k] for k in _full_preimage_keys(family, level))
-
-
-def _is_congruence(character: SignCharacter, labels: tuple[int, ...]) -> bool:
-    """Whether the character factors through the two-quotient of H."""
-    signs = [sign for _, sign in character.signed_generators()] + [-1]
-    return engine.f2_consistent(
-        (label, int(sign == -1)) for label, sign in zip(labels, signs))
+    rows = zip((labels[k] for k in _full_preimage_keys(family, level)),
+               payloads)
+    return tuple((p >> 1, p & 1) for p in engine.f2_dependencies(rows) if p)
 
 
 def classify_lift(character: SignCharacter,
                   max_modulus: int | None = None) -> LiftDescriptor:
-    """Classify one lift by solving for its character over F2.
+    """Classify one lift by its level's congruence conditions.
 
     The family and level are those of the character's generators.  The
     certificate's image order is derived from the verdict: |H|/2 for a
@@ -282,9 +285,12 @@ def classify_lift(character: SignCharacter,
     family, level = character.generators.family, character.generators.level
     cap = engine.effective_max_modulus(max_modulus)
     order = _full_image_cached(family, level, cap).order
+    x = sum(1 << i for i, sign in enumerate(character.free_signs or ())
+            if sign == -1)
     if character.is_full_preimage:
         classification, image_order = "congruence", order
-    elif _is_congruence(character, _level_labels(family, level, cap)):
+    elif all((mask & x).bit_count() % 2 == bit for mask, bit
+             in _congruence_conditions(family, level, cap)):
         classification, image_order = "congruence", order // 2
     else:
         classification, image_order = "noncongruence", order
@@ -294,11 +300,11 @@ def classify_lift(character: SignCharacter,
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Totals (and optionally per-lift detail) for one (family, level).
+    """Lift totals for one (family, level), and per-lift detail if enumerated.
 
-    mode is "enumerated" when every lift was classified individually, or
-    "counted" when 2^r exceeded the enumeration cap and the congruence
-    total came from the closed-form count instead.
+    The totals come from the congruence conditions.  mode is "enumerated"
+    when every lift also has a descriptor, or "counted" when 2^r exceeds
+    the enumeration cap and only the totals are kept.
     """
 
     family: str
@@ -333,65 +339,60 @@ class ClassificationReport:
 def _classify_all_cached(family: str, level: int,
                          max_modulus: int) -> ClassificationReport:
     generators = generator_set(family, level)
+    total = congruence = 1
+    if generators.e2 == 0:
+        total += 2 ** generators.rank
+        conditions = _congruence_conditions(family, level, max_modulus)
+        # The conditions are consistent when every dependent payload is 0,
+        # and their rank is len(conditions) - len(dependent).
+        dependent = engine.f2_dependencies(conditions)
+        if not any(dependent):
+            congruence += 2 ** (generators.rank - len(conditions)
+                                + len(dependent))
+    totals = (family, level, total, congruence, total - congruence)
     if generators.e2 == 0 and 2 ** generators.rank > DEFAULT_ENUMERATION_CAP:
-        formula = counting.count_congruence_lifts_formula(family, level)
-        total = 1 + 2 ** generators.rank
-        return ClassificationReport(
-            family, level, total, formula.count, total - formula.count,
-            "counted")
-    descriptors = []
-    witness = None
-    for character in enumerate_lifts(generators):
-        descriptor = classify_lift(character, max_modulus=max_modulus)
-        descriptors.append(descriptor)
-        if witness is None and descriptor.classification == "noncongruence":
-            witness = descriptor
-    congruence = sum(1 for d in descriptors
-                     if d.classification == "congruence")
-    return ClassificationReport(
-        family, level, len(descriptors), congruence,
-        len(descriptors) - congruence, "enumerated", tuple(descriptors),
-        witness)
+        return ClassificationReport(*totals, "counted")
+    descriptors = tuple(classify_lift(character, max_modulus=max_modulus)
+                        for character in enumerate_lifts(generators))
+    witness = next((d for d in descriptors
+                    if d.classification == "noncongruence"), None)
+    return ClassificationReport(*totals, "enumerated", descriptors, witness)
 
 
 def classify_all(family: str, level: int,
                  max_modulus: int | None = None) -> ClassificationReport:
-    """Classify every lift, falling back to counting when 2^r is too big."""
-    if level < 1:
-        raise ValueError(f"level must be positive, got {level}")
+    """Count the congruence lifts, and list them while 2^r fits the cap."""
     return _classify_all_cached(family, level,
                                 engine.effective_max_modulus(max_modulus))
 
 
 def find_witness(family: str, level: int,
                  max_modulus: int | None = None) -> LiftDescriptor:
-    """First noncongruence lift in `enumerate_lifts` order, solved over F2.
+    """First noncongruence lift in `enumerate_lifts` order, by the conditions.
 
     Read a sign vector as the integer whose bit r-1-i is set when free
     sign i is -1; `enumerate_lifts` lists proper lifts in increasing order
-    of it.  The functionals phi fitting the rows of the odd generators and
-    -I form an affine space, and the free signs are linear in phi, so the
-    congruence sign vectors form an affine subspace A of F2^r.  If the
-    all-+1 vector 0 is outside A it is the first noncongruence lift.
-    Otherwise A is linear, and if all integers below 2^j lie in A and 2^j
-    does too, then so do all integers below 2^(j+1) (each is 2^j XOR k,
-    k < 2^j).  So the first vector outside A is a unit vector 2^j: a
-    single flip, tried from the last free generator back to the first.
-    If none of these r + 1 vectors lies outside A, every lift is
-    congruence and LookupError is raised; so it is with even torsion,
-    where the full preimage is the only lift.
+    of it.  If some condition has bit 1, the all-+1 vector 0 fails it and
+    comes first.  Otherwise the congruence vectors form a linear subspace
+    A, and if all integers below 2^j lie in A and 2^j does too, then so
+    do all below 2^(j+1) (each is 2^j XOR k, k < 2^j).  So the first
+    vector outside A is a unit vector: the flip of the last free generator
+    that occurs in some condition.  If none occurs, every lift is
+    congruence and LookupError is raised, as with even torsion, where the
+    full preimage is the only lift.
     """
     generators = generator_set(family, level)
-    if generators.e2 == 0:
-        r = generators.rank
-        for flip in (None, *range(r - 1, -1, -1)):
-            signs = tuple(-1 if i == flip else 1 for i in range(r))
-            descriptor = classify_lift(SignCharacter(generators, signs),
-                                       max_modulus=max_modulus)
-            if descriptor.classification == "noncongruence":
-                return descriptor
-    raise LookupError(
-        f"every lift of {family}({level}) is a congruence group")
+    conditions = () if generators.e2 else _congruence_conditions(
+        family, level, engine.effective_max_modulus(max_modulus))
+    signs = [1] * generators.rank
+    if not any(bit for _, bit in conditions):
+        last = max((mask.bit_length() for mask, _ in conditions), default=0)
+        if not last:
+            raise LookupError(
+                f"every lift of {family}({level}) is a congruence group")
+        signs[last - 1] = -1
+    return classify_lift(SignCharacter(generators, tuple(signs)),
+                         max_modulus=max_modulus)
 
 
 def propagate_witness(parent: LiftDescriptor, family: str,

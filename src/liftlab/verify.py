@@ -172,36 +172,30 @@ def check_gamma1_census(max_n: int = 5, seed_tamper: bool = False,
 def check_classification_vs_predicates(max_n: int = 48,
                                        max_modulus: int | None = None,
                                        ) -> tuple[bool, str]:
-    """The closed all-congruence tests against computed classifications.
+    """The closed-form predicates and counts against the F2 lift census.
 
-    Counted reports copy their totals from the predicates' closed formula,
-    so at counted levels the F2 witness solve decides instead.
+    Every report, counted ones included, takes its totals from the
+    congruence conditions, a route sharing no code with the closed form.
     """
     top = _engine_range(max_n, max_modulus)
     predicates = {"gamma0": counting.all_lifts_congruence_gamma0,
                   "gamma1": counting.all_lifts_congruence_gamma1}
     bad = []
-    solved = 0
+    counted = 0
     for family, predicate in predicates.items():
         for n in range(1, top + 1):
             report = classify_all(family, n, max_modulus=max_modulus)
-            if report.mode == "enumerated":
-                all_congruence = report.all_congruence
-            else:
-                solved += 1
-                try:
-                    find_witness(family, n, max_modulus=max_modulus)
-                    all_congruence = False
-                except LookupError:
-                    all_congruence = True
-            if all_congruence != predicate(n):
+            counted += report.mode == "counted"
+            formula = counting.count_congruence_lifts_formula(family, n).count
+            if (report.congruence != formula
+                    or report.all_congruence != predicate(n)):
                 bad.append((family, n, report.total, report.congruence,
-                            report.noncongruence, report.mode))
+                            report.noncongruence, report.mode, formula))
     if bad:
         return False, (
-            f"classification disagrees with the closed predicate at: {bad}")
-    return True, (f"predicates match exhaustive classification for N <= "
-                  f"{top} ({solved} counted levels by the witness solve)")
+            f"the F2 census disagrees with the closed forms at: {bad}")
+    return True, (f"predicates and closed-form counts match the F2 census "
+                  f"at all {2 * top} levels N <= {top} ({counted} counted)")
 
 
 def check_hyperplane_counts() -> tuple[bool, str]:

@@ -77,6 +77,19 @@ def test_classify_rejects_gamma(capsys):
     assert "use `count`" in err
 
 
+def test_classify_past_the_modulus_cap(capsys):
+    # gamma1(49) is counted (r > 9), but its totals still need H mod 98.
+    code, out, err = run(capsys, "classify", "--group", "gamma1", "--n", "49")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "modulus 98" in err
+    assert len(err.splitlines()) == 1
+    code, out, _ = run(capsys, "classify", "--group", "gamma1", "--n", "49",
+                       "--max-modulus", "98", "--format", "json")
+    assert code == 0
+    [record] = json.loads(out)
+    assert (record["congruence"], record["mode"]) == (3, "counted")
+
+
 def test_witness_export_and_reverify(capsys, tmp_path):
     path = tmp_path / "w.json"
     code, out, _ = run(capsys, "witness", "--group", "gamma1", "--n", "5",
@@ -254,6 +267,15 @@ def test_verify_seed_tamper_flags_census(capsys):
     assert lines and "FAIL" in lines[0]
     assert "correctly rejected" in lines[0]
     assert "7/8 checks passed" in out
+
+
+def test_seed_tamper_below_five_is_usage_error(capsys):
+    # No gamma1(5) witness is classified below --max-n 5, so nothing would
+    # be tampered with; that is a usage error, not a disagreement.
+    code, out, err = run(capsys, "verify", "--max-n", "4", "--seed-tamper")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--max-n 5" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_json_format(capsys):

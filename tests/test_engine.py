@@ -127,24 +127,36 @@ def test_subgroup_order_rejects_generators_outside_the_group():
 
 
 def test_f2_consistent_hand_built_systems():
-    assert engine.f2_consistent([])
-    assert engine.f2_consistent([(0, 0)])
+    # f2_dependencies decides consistency: a system (mask, bit) is
+    # consistent exactly when no row reduces to mask 0 with payload 1.
+    def consistent(rows):
+        return not any(engine.f2_dependencies(rows))
+
+    assert consistent([])
+    assert consistent([(0, 0)])
     # mask 0 with bit 1: -I inside the squares subgroup but signed -1
-    assert not engine.f2_consistent([(0, 1)])
-    assert not engine.f2_consistent([(0b1, 0), (0, 1)])
-    assert engine.f2_consistent([(0b01, 1), (0b10, 0), (0b11, 1)])
-    assert not engine.f2_consistent([(0b01, 1), (0b10, 0), (0b11, 0)])
+    assert not consistent([(0, 1)])
+    assert not consistent([(0b1, 0), (0, 1)])
+    assert consistent([(0b01, 1), (0b10, 0), (0b11, 1)])
+    assert not consistent([(0b01, 1), (0b10, 0), (0b11, 0)])
     # a dependency reached only after two eliminations
-    assert not engine.f2_consistent([(0b110, 1), (0b011, 0), (0b101, 0)])
-    assert engine.f2_consistent([(0b110, 1), (0b011, 0), (0b101, 1)])
-    # against every functional on F2^3
+    assert not consistent([(0b110, 1), (0b011, 0), (0b101, 0)])
+    assert consistent([(0b110, 1), (0b011, 0), (0b101, 1)])
+    # payloads are XORed along with the masks, every bit of them
+    assert engine.f2_dependencies(
+        [(0b11, 0b001), (0b01, 0b010), (0b10, 0b100)]) == [0b111]
+    # against every functional on F2^3: consistency and 2^(3-k) solutions
     rng = random.Random(11)
     for _ in range(200):
         rows = [(rng.randrange(8), rng.randrange(2))
                 for _ in range(rng.randrange(1, 6))]
-        brute = any(all(bin(phi & mask).count("1") % 2 == bit
-                        for mask, bit in rows) for phi in range(8))
-        assert engine.f2_consistent(rows) == brute, rows
+        solutions = sum(all(bin(phi & mask).count("1") % 2 == bit
+                            for mask, bit in rows) for phi in range(8))
+        dependent = engine.f2_dependencies(rows)
+        assert consistent(rows) == (solutions > 0), rows
+        if solutions:
+            rank = len(rows) - len(dependent)
+            assert solutions == 2 ** (3 - rank), rows
 
 
 def test_adjoin_minus_identity():

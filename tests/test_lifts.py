@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from liftlab import engine, lifts, verify
+from liftlab import counting, engine, lifts, verify
 from liftlab.lifts import (LiftCertificate, SignCharacter, classify_all,
                            classify_lift, enumerate_lifts, find_witness,
                            full_image, lift_generators, propagate_witness)
@@ -182,6 +182,38 @@ def test_counted_mode_for_large_rank():
     assert report.descriptors is None and report.witness is None
 
 
+def test_census_does_not_read_the_closed_form(monkeypatch):
+    # Counted totals come from the congruence conditions, not the formula.
+    def closed_form(family, level):
+        raise AssertionError("classify_all read the closed-form count")
+
+    monkeypatch.setattr(counting, "count_congruence_lifts_formula",
+                        closed_form)
+    lifts._classify_all_cached.cache_clear()
+    lifts._congruence_conditions.cache_clear()
+    report = classify_all("gamma0", 30)
+    assert (report.total, report.congruence,
+            report.noncongruence) == (8193, 9, 8184)
+    assert report.mode == "counted"
+
+
+def test_descriptor_verdicts_tally_to_the_census():
+    # The totals come from one count over the conditions, the descriptors
+    # from one parity check per lift; at every enumerated level they agree.
+    enumerated = 0
+    for family, top in (("gamma0", 30), ("gamma1", 12)):
+        for n in range(1, top + 1):
+            report = classify_all(family, n)
+            if report.mode != "enumerated":
+                continue
+            enumerated += 1
+            verdicts = [d.classification for d in report.descriptors]
+            assert (report.total, report.congruence, report.noncongruence) \
+                == (len(verdicts), verdicts.count("congruence"),
+                    verdicts.count("noncongruence")), (family, n)
+    assert enumerated == 40
+
+
 def test_classify_all_rejects_bad_level():
     with pytest.raises(ValueError):
         classify_all("gamma0", 0)
@@ -307,7 +339,7 @@ def test_certificates_survive_independent_closure():
 
 def test_level_caches_key_on_the_resolved_cap(monkeypatch):
     monkeypatch.delenv("LIFTLAB_MAX_MODULUS", raising=False)
-    caches = (lifts._full_image_cached, lifts._level_labels,
+    caches = (lifts._full_image_cached, lifts._congruence_conditions,
               lifts._classify_all_cached)
     for cache in caches:
         cache.cache_clear()
