@@ -99,7 +99,8 @@ def cmd_count(args) -> int:
                     args.group, n, max_modulus=args.max_modulus)
             except engine.ModulusCapExceeded as exc:
                 if args.mode == "engine":
-                    print(f"error: {exc}", file=sys.stderr)
+                    print(f"error: {exc}, or use --mode formula, which "
+                          f"needs no engine", file=sys.stderr)
                     return EXIT_USAGE
                 engine_count = None
         base = formula or engine_count

@@ -5,9 +5,10 @@ SL2(Z) projecting onto a given projective congruence group:
 
 * a closed-form piecewise formula in terms of the level's factorization
   N = 2^s * p1^s1 * ... * pt^st, and
-* an engine route that builds G = Gamma/Gamma(2N) inside SL2(Z/2N),
-  takes the quotient by the subgroup generated by squares, and reads the
-  count off the dimension d and the position of -I:
+* an engine route that builds G = Gamma/Gamma(2N) inside SL2(Z/2N) as
+  the product of its images mod 2^(s+1) and mod each p^e, takes the
+  quotient by the subgroup generated by squares, and reads the count off
+  the dimension d and the position of -I:
 
       1             if -I lies in the squares subgroup,
       1 + 2^(d-1)   otherwise (taken in <G, -I> when -I is not in G).
@@ -117,13 +118,15 @@ def count_congruence_lifts_engine(family: str, level: int,
                                   max_modulus: int | None = None) -> LiftCountReport:
     """Engine count: build Gamma/Gamma(2N) and apply the d/-I trichotomy.
 
-    When -I is not in G, <G, -I> is G x <-I>: its two-quotient has one
-    more coordinate than G's, and -I lies outside its squares subgroup
-    (as it lies outside G's).
+    The image is built one CRT component at a time
+    (`engine.quotient_summary_crt`), so the cap bounds 2^(s+1) and each
+    p^e rather than 2N.  When -I is not in G, <G, -I> is G x <-I>: its
+    two-quotient has one more coordinate than G's, and -I lies outside
+    its squares subgroup (as it lies outside G's).
     """
     _require_level(level)
-    summary = engine.quotient_summary(engine_kind(family), level,
-                                      max_modulus=max_modulus)
+    summary = engine.quotient_summary_crt(engine_kind(family), level,
+                                          max_modulus=max_modulus)
     minus_in_gamma = summary.minus_one_in_group
     dim2 = summary.dim2 + (not minus_in_gamma)
     if summary.minus_one_in_squares:

@@ -40,8 +40,8 @@ class ModulusCapExceeded(ValueError):
         self.cap = cap
         super().__init__(
             f"modulus {modulus} exceeds the engine cap {cap}; "
-            f"raise it via max_modulus= or the LIFTLAB_MAX_MODULUS "
-            f"environment variable, or use the formula route")
+            f"raise it with --max-modulus (max_modulus= in the library) "
+            f"or the LIFTLAB_MAX_MODULUS environment variable")
 
 
 def max_modulus_default() -> int:
@@ -402,21 +402,32 @@ def quotient_summary(kind: str, level: int, modulus: int | None = None,
     )
 
 
-def quotient_dim2_crt(kind: str, level: int,
-                      max_modulus: int | None = None) -> int:
-    """CRT fast path for dim2 of Gamma/Gamma(2N): sum over prime powers.
+def quotient_summary_crt(kind: str, level: int,
+                         max_modulus: int | None = None) -> QuotientSummary:
+    """The summary `quotient_summary(kind, level)` gives, built by CRT.
 
-    SL2(Z/2N) splits as a direct product over the prime power divisors
-    of 2N, the congruence conditions split componentwise, and a direct
-    product's maximal elementary abelian 2-quotient is the product of the
-    factors' quotients.  The direct computation remains the oracle; this
-    route exists to cross-check it on composite levels.
+    SL2(Z/2N) is the direct product of its components mod 2^(s+1) and
+    mod each odd p^e dividing N, and the congruence conditions split the
+    same way, so the image mod 2N is the product of the component images.
+    A direct product's squares subgroup is the product of the factors'
+    squares subgroups: dim2 adds, and -I lies in G (or in G'G^2) exactly
+    when every component of -I does.  The cap bounds each component
+    modulus, so levels with 2N past it are reached when the components
+    fit.  The direct computation mod 2N stays the oracle in `verify`.
     """
     profile = factorize(level)
     two_part = 2 ** profile.s
-    total = quotient_summary(kind, two_part, modulus=2 * two_part,
-                             max_modulus=max_modulus).dim2
-    for p, e in profile.odd_factors:
-        total += quotient_summary(kind, p ** e, modulus=p ** e,
-                                  max_modulus=max_modulus).dim2
-    return total
+    parts = [quotient_summary(kind, two_part, modulus=2 * two_part,
+                              max_modulus=max_modulus)]
+    parts += [quotient_summary(kind, p ** e, modulus=p ** e,
+                               max_modulus=max_modulus)
+              for p, e in profile.odd_factors]
+    return QuotientSummary(
+        kind=kind,
+        level=level,
+        modulus=2 * level,
+        group_order=math.prod(q.group_order for q in parts),
+        dim2=sum(q.dim2 for q in parts),
+        minus_one_in_group=all(q.minus_one_in_group for q in parts),
+        minus_one_in_squares=all(q.minus_one_in_squares for q in parts),
+    )

@@ -11,7 +11,6 @@ there, on the tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,14 +68,6 @@ def multiply(x: IntegerMatrix, y: IntegerMatrix) -> IntegerMatrix:
         x.c * y.a + x.d * y.c,
         x.c * y.b + x.d * y.d,
     )
-
-
-def word(letters: Iterable[IntegerMatrix]) -> IntegerMatrix:
-    """Product of a sequence of matrices, identity if empty."""
-    acc = IDENTITY
-    for m in letters:
-        acc = multiply(acc, m)
-    return acc
 
 
 @dataclass(frozen=True, slots=True)

@@ -56,8 +56,7 @@ def test_negative_control_tampered_witness_is_caught():
     results = verify.run_suite(max_n=5, seed_tamper=True)
     by_name = {r.name: r for r in results}
     census = by_name["gamma1-census"]
-    assert not census.passed
+    assert census.passed
     assert "correctly rejected" in census.detail
-    others = [r for r in results if r.name != "gamma1-census"]
-    assert all(r.passed for r in others), [
-        (r.name, r.detail) for r in others if not r.passed]
+    assert all(r.passed for r in results), [
+        (r.name, r.detail) for r in results if not r.passed]

@@ -90,6 +90,27 @@ def test_classify_past_the_modulus_cap(capsys):
     assert (record["congruence"], record["mode"]) == (3, "counted")
 
 
+def test_engine_cap_message_names_the_cap_options(capsys):
+    # classify has no formula route, so its error must not suggest one.
+    code, out, err = run(capsys, "classify", "--group", "gamma0", "--n", "97")
+    assert code == 1 and out == ""
+    assert err.startswith("error: modulus 194 exceeds the engine cap 96")
+    assert len(err.splitlines()) == 1
+    assert "--max-modulus" in err and "max_modulus=" in err
+    assert "LIFTLAB_MAX_MODULUS" in err
+    assert "formula" not in err
+
+
+def test_count_engine_cap_message_suggests_the_formula_mode(capsys):
+    code, out, err = run(capsys, "count", "--mode", "engine", "--group",
+                         "gamma0", "--n", "97")
+    assert code == 1 and out == ""
+    assert err.startswith("error: modulus 97 exceeds the engine cap 96")
+    assert "--max-modulus" in err and "LIFTLAB_MAX_MODULUS" in err
+    assert "--mode formula" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_witness_export_and_reverify(capsys, tmp_path):
     path = tmp_path / "w.json"
     code, out, _ = run(capsys, "witness", "--group", "gamma1", "--n", "5",
@@ -262,11 +283,21 @@ def test_bounds_below_one_are_usage_errors(capsys, argv):
 
 def test_verify_seed_tamper_flags_census(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "5", "--seed-tamper")
+    assert code == 0
+    lines = [line for line in out.splitlines() if "gamma1-census" in line]
+    assert lines and "pass" in lines[0]
+    assert "tampered witness correctly rejected" in lines[0]
+    assert "8/8 checks passed" in out
+
+
+def test_verify_seed_tamper_fails_when_the_audit_accepts(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "verify_witness_data",
+                        lambda data, max_modulus=None: (True, "accepted"))
+    code, out, _ = run(capsys, "verify", "--max-n", "5", "--seed-tamper")
     assert code == 2
     lines = [line for line in out.splitlines() if "gamma1-census" in line]
     assert lines and "FAIL" in lines[0]
-    assert "correctly rejected" in lines[0]
-    assert "7/8 checks passed" in out
+    assert "tampered witness was accepted" in lines[0]
 
 
 def test_seed_tamper_below_five_is_usage_error(capsys):

@@ -78,6 +78,36 @@ def test_engine_report_matches_the_adjoined_group():
             family, level)
 
 
+def test_engine_report_equals_the_direct_route(monkeypatch):
+    levels = [(family, level) for family in counting.FAMILIES
+              for level in range(1, 25)]
+    by_crt = [counting.count_congruence_lifts_engine(*fl).to_dict()
+              for fl in levels]
+    monkeypatch.setattr(engine, "quotient_summary_crt",
+                        lambda kind, level, max_modulus=None:
+                        engine.quotient_summary(kind, level,
+                                                max_modulus=max_modulus))
+    direct = [counting.count_congruence_lifts_engine(*fl).to_dict()
+              for fl in levels]
+    assert by_crt == direct
+
+
+@pytest.mark.parametrize("family, level", [
+    ("gamma0", 2310), ("gamma1", 2310), ("gamma", 2310), ("gamma0", 1155)])
+def test_engine_count_past_the_direct_cap(family, level):
+    # 2N exceeds the default cap 96; every CRT component fits under it.
+    engine_count = counting.count_congruence_lifts_engine(family, level)
+    formula = counting.count_congruence_lifts_formula(family, level)
+    assert engine_count.count == formula.count
+
+
+@pytest.mark.parametrize("level, component", [(97, 97), (64, 128)])
+def test_engine_count_component_past_the_cap(level, component):
+    with pytest.raises(engine.ModulusCapExceeded) as info:
+        counting.count_congruence_lifts_engine("gamma0", level)
+    assert info.value.modulus == component
+
+
 def test_report_round_trip():
     rep = counting.count_congruence_lifts_engine("gamma0", 6)
     data = json.loads(json.dumps(rep.to_dict()))

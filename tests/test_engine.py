@@ -213,10 +213,11 @@ def test_quotient_summary_values():
     assert qf.minus_one_in_group and not qf.minus_one_in_squares
 
 
-def test_quotient_dim2_crt_matches_direct():
-    for n in (6, 10, 12, 20):
-        direct = engine.quotient_summary("gamma0", n).dim2
-        assert engine.quotient_dim2_crt("gamma0", n) == direct
+def test_quotient_summary_crt_matches_direct():
+    for kind in ("gamma0", "gamma1", "gamma_full"):
+        for n in range(1, 25):
+            direct = engine.quotient_summary(kind, n)
+            assert engine.quotient_summary_crt(kind, n) == direct, (kind, n)
 
 
 def test_modulus_cap():

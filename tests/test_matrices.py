@@ -3,7 +3,7 @@ import random
 import pytest
 
 from liftlab.matrices import (IDENTITY, MINUS_IDENTITY, S, T, IntegerMatrix,
-                              ResidueMatrix, factorize, multiply, word)
+                              ResidueMatrix, factorize, multiply)
 
 
 def test_determinant_guard():
@@ -24,11 +24,8 @@ def test_basic_algebra():
     assert m.trace == 7
 
 
-def test_word_and_multiply():
-    ms = [T, S, T, T]
-    assert word(ms) == T * S * T * T
+def test_multiply_matches_the_operator():
     assert multiply(S, T) == S * T
-    assert word([]) == IDENTITY
 
 
 def test_reduce_and_proj_eq():
