@@ -403,8 +403,9 @@ def propagate_witness(parent: LiftDescriptor, family: str,
     lift is itself a noncongruence lift (were it to contain a principal
     congruence subgroup, so would the parent lift).  Its generators are
     the Schreier generators over the finitely many cosets, walked with the
-    parent lift's generators as steps; they are returned without a
-    certificate, and `verify` computes their closure mod 2N.
+    parent lift's generators as steps; the transversal is rebuilt along
+    the walk's tree.  They are returned without a certificate, and
+    `verify` computes their closure mod 2N.
     """
     if parent.classification != "noncongruence":
         raise ValueError("can only propagate a noncongruence witness")
@@ -418,12 +419,15 @@ def propagate_witness(parent: LiftDescriptor, family: str,
     subindex = index_formula(family, level) // index_formula(
         parent.family, parent.level)
     steps = parent.generators
-    reps, edges = _coset_walk(
-        _coset_key_fn(family, level), steps, DEFAULT_MAX_INDEX,
+    tree, edges = _coset_walk(
+        _coset_key_fn(family, level), level, steps, DEFAULT_MAX_INDEX,
         f"{family}({level}) in a {parent.family}({parent.level}) lift")
-    if len(reps) != subindex:
+    if len(edges) != subindex:
         raise AssertionError(
-            f"coset walk found {len(reps)} cosets, expected {subindex}")
+            f"coset walk found {len(edges)} cosets, expected {subindex}")
+    reps = [IDENTITY]
+    for i, k in tree:
+        reps.append(reps[i] * steps[k])
     out = _schreier_filter(reps[i] * g * reps[j].inverse()
                            for i, row in enumerate(edges)
                            for g, j in zip(steps, row))

@@ -2,23 +2,29 @@
 
 The permutation route: right cosets of the projective group are walked
 by right multiplication with S = [[0,-1],[1,0]] and T = [[1,1],[0,1]].
-Torsion is read off fixed points (e2 from the S-permutation, e3 from the
-S*T-permutation), cusp widths off the T-cycles, and the free rank of the
-group's presentation from index and torsion alone.  The same
-breadth-first walk, stepping by a lift's generators instead of S and T,
-gives the Schreier generators of the pull-back in
-`lifts.propagate_witness`.
+A right coset is determined by the bottom row of any of its matrices
+mod N, so the walk steps bottom rows mod N and never multiplies
+matrices.  Torsion is read off fixed points (e2 from the
+S-permutation, e3 from the S*T-permutation), cusp widths off the
+T-cycles, and the free rank of the group's presentation from index and
+torsion alone.  The same breadth-first walk, stepping by a lift's
+generators instead of S and T, records the tree from which
+`lifts.propagate_witness` rebuilds its transversal and reads off the
+Schreier generators of the pull-back.
 
 The generator route: a Farey symbol is grown from the seed sequence
--infty, 0, +infty by testing the leftmost unlabeled side for an even or
-odd self-pairing or a free pairing with another unlabeled side,
-inserting the mediant whenever no label fits.  Free partners are looked
-up by coset key instead of scanned: the free candidate below lies in the
-group exactly when two bottom rows share a key (see `farey_symbol`), so
-the construction stays near-linear in the number of sides.  Every
-candidate pairing matrix is validated by its endpoint action and by the
-projective membership predicate before it is accepted, so the
-construction never trusts a formula it cannot check.
+-infty, 0, +infty by testing the leftmost open side for an even or odd
+self-pairing or a free pairing with another open side, splitting it at
+the mediant whenever no label fits.  The open sides are kept on a stack
+with the leftmost on top, so a side is finished, and appended to the
+symbol, in left-to-right order.  Free partners are looked up by coset
+key instead of scanned: the free candidate below lies in the group
+exactly when two bottom rows share a key (see `farey_symbol`), so the
+construction stays near-linear in the number of sides.  Candidates are
+screened on their entries mod N, and only one that passes is built as
+a matrix; it must then pass the determinant check, the projective
+membership predicate and its endpoint action before it is accepted, so
+the construction never trusts a formula it cannot check.
 
 Side-pairing candidates for a side from a1/b1 to a2/b2 (consecutive
 entries satisfy a2*b1 - a1*b2 = 1; infinities are carried as (-1, 0) and
@@ -45,9 +51,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 
-from .matrices import IDENTITY, S, T, IntegerMatrix, factorize
+from .matrices import S, T, IntegerMatrix, factorize
 
 DEFAULT_MAX_INDEX = 20000
 
@@ -124,42 +130,50 @@ class CosetAction:
     degree: int
     s_perm: tuple[int, ...]
     t_perm: tuple[int, ...]
-    representatives: tuple[IntegerMatrix, ...]
 
     def st_perm(self) -> tuple[int, ...]:
         """Permutation of S*T: apply the S-step, then the T-step."""
         return tuple(self.t_perm[j] for j in self.s_perm)
 
 
-def _coset_walk(key, steps: tuple[IntegerMatrix, ...], max_index: int,
-                what: str) -> tuple[list[IntegerMatrix], list[list[int]]]:
+def _coset_walk(key, level: int, steps: tuple[IntegerMatrix, ...],
+                max_index: int, what: str
+                ) -> tuple[list[tuple[int, int]], list[list[int]]]:
     """Breadth-first walk of the right cosets reachable from the identity.
 
-    `key(c, d)` labels the coset of a matrix with bottom row (c, d).
-    Cosets are numbered as they are first reached, so `reps[i]` is the
-    first matrix found in coset i, and `edges[i][k]` is the coset of
-    reps[i] * steps[k].  The list of representatives grows while it is
-    walked, so cosets are visited in the order they are numbered.
+    `key(c, d)` labels the coset of a matrix with bottom row (c, d), and
+    depends on the row mod `level` only, so the walk carries rows mod
+    `level` and steps a row by the columns of each step.  Cosets are
+    numbered as they are first reached, and `edges[i][k]` is the coset
+    of coset i times steps[k].  `tree[j - 1] = (i, k)` records that coset
+    j was first reached from coset i by steps[k], so the matrices
+    reps[0] = I, reps[j] = reps[i] * steps[k] form a transversal.  The
+    list of rows grows while it is walked, so cosets are visited in the
+    order they are numbered.
     """
+    n = level
+    columns = [(m.a % n, m.c % n, m.b % n, m.d % n) for m in steps]
     index_of = {key(0, 1): 0}
-    reps = [IDENTITY]
+    rows = [(0, 1)]
+    tree = []
     edges = []
-    for rep in reps:
-        row = []
-        for step in steps:
-            image = rep * step
-            k = key(image.c, image.d)
-            j = index_of.get(k)
+    for i, (c, d) in enumerate(rows):
+        targets = []
+        for k, (a1, c1, b1, d1) in enumerate(columns):
+            c2, d2 = (c * a1 + d * c1) % n, (c * b1 + d * d1) % n
+            label = key(c2, d2)
+            j = index_of.get(label)
             if j is None:
-                j = len(reps)
+                j = len(rows)
                 if j >= max_index:
                     raise IndexBoundExceeded(
                         f"coset space of {what} exceeds {max_index}")
-                index_of[k] = j
-                reps.append(image)
-            row.append(j)
-        edges.append(row)
-    return reps, edges
+                index_of[label] = j
+                rows.append((c2, d2))
+                tree.append((i, k))
+            targets.append(j)
+        edges.append(targets)
+    return tree, edges
 
 
 def build_coset_action(family: str, level: int,
@@ -167,10 +181,10 @@ def build_coset_action(family: str, level: int,
     """Enumerate the coset space by orbit construction from the identity."""
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
-    reps, edges = _coset_walk(_coset_key_fn(family, level), (S, T),
-                              max_index, f"{family}({level})")
+    _, edges = _coset_walk(_coset_key_fn(family, level), level, (S, T),
+                           max_index, f"{family}({level})")
     s_perm, t_perm = zip(*edges)
-    action = CosetAction(family, level, len(reps), s_perm, t_perm, tuple(reps))
+    action = CosetAction(family, level, len(edges), s_perm, t_perm)
     _check_action(action)
     return action
 
@@ -186,8 +200,8 @@ def _check_action(action: CosetAction) -> None:
 
 # A default `liftlab verify` asks for 45 distinct coset actions and 48
 # distinct generator sets, and at these sizes neither cache evicts an
-# entry it is asked for again (one less would turn 38 of 92 action
-# lookups, or 18 of 129 generator lookups, from hits into misses).  A long
+# entry it is asked for again (one less would turn 38 of 132 action
+# lookups, or 18 of 2298 generator lookups, from hits into misses).  A long
 # level range no longer keeps every level it has seen.
 @lru_cache(maxsize=45)
 def _cached_action(family: str, level: int) -> CosetAction:
@@ -270,28 +284,42 @@ def _mediant(x: Fraction2, y: Fraction2) -> Fraction2:
     return (x[0] + y[0], x[1] + y[1])
 
 
-def _even_candidate(x: Fraction2, y: Fraction2) -> IntegerMatrix:
+Entries = tuple[int, int, int, int]
+
+
+def _even_entries(x: Fraction2, y: Fraction2) -> Entries:
     a1, b1 = x
     a2, b2 = y
-    return IntegerMatrix(a1 * b1 + a2 * b2, -(a1 * a1 + a2 * a2),
-                         b1 * b1 + b2 * b2, -(a1 * b1 + a2 * b2))
+    return (a1 * b1 + a2 * b2, -(a1 * a1 + a2 * a2),
+            b1 * b1 + b2 * b2, -(a1 * b1 + a2 * b2))
+
+
+def _odd_entries(x: Fraction2, y: Fraction2) -> Entries:
+    a1, b1 = x
+    a2, b2 = y
+    return (a2 * b2 + a1 * b2 + a1 * b1, -(a1 * a1 + a1 * a2 + a2 * a2),
+            b1 * b1 + b1 * b2 + b2 * b2, -(a2 * b2 + a2 * b1 + a1 * b1))
+
+
+def _free_entries(side: tuple[Fraction2, Fraction2],
+                  other: tuple[Fraction2, Fraction2]) -> Entries:
+    (a1, b1), (a2, b2) = side
+    (a3, b3), (a4, b4) = other
+    return (-(a4 * b2 + a3 * b1), a4 * a2 + a3 * a1,
+            -(b4 * b2 + b3 * b1), a2 * b4 + a1 * b3)
+
+
+def _even_candidate(x: Fraction2, y: Fraction2) -> IntegerMatrix:
+    return IntegerMatrix(*_even_entries(x, y))
 
 
 def _odd_candidate(x: Fraction2, y: Fraction2) -> IntegerMatrix:
-    a1, b1 = x
-    a2, b2 = y
-    return IntegerMatrix(a2 * b2 + a1 * b2 + a1 * b1,
-                         -(a1 * a1 + a1 * a2 + a2 * a2),
-                         b1 * b1 + b1 * b2 + b2 * b2,
-                         -(a2 * b2 + a2 * b1 + a1 * b1))
+    return IntegerMatrix(*_odd_entries(x, y))
 
 
 def _free_candidate(side: tuple[Fraction2, Fraction2],
                     other: tuple[Fraction2, Fraction2]) -> IntegerMatrix:
-    (a1, b1), (a2, b2) = side
-    (a3, b3), (a4, b4) = other
-    return IntegerMatrix(-(a4 * b2 + a3 * b1), a4 * a2 + a3 * a1,
-                         -(b4 * b2 + b3 * b1), a2 * b4 + a1 * b3)
+    return IntegerMatrix(*_free_entries(side, other))
 
 
 def _proj_maps(m: IntegerMatrix, x: Fraction2, y: Fraction2) -> bool:
@@ -301,13 +329,9 @@ def _proj_maps(m: IntegerMatrix, x: Fraction2, y: Fraction2) -> bool:
     return image == y or image == (-y[0], -y[1])
 
 
-def _proj_key(m: IntegerMatrix) -> tuple:
-    return min(m.entries(), (-m).entries())
-
-
-# Sides in the order of their left endpoints a/b; only (-1, 0) has b = 0.
-_LEFT_TO_RIGHT = cmp_to_key(
-    lambda s, t: s[0][0] * t[0][1] - t[0][0] * s[0][1])
+def _proj_key(m: IntegerMatrix) -> Entries:
+    a, b, c, d = entries = m.entries()
+    return min(entries, (-a, -b, -c, -d))
 
 
 @dataclass(frozen=True)
@@ -376,117 +400,156 @@ class FareySymbol:
 def farey_symbol(family: str, level: int) -> FareySymbol:
     """Grow a Farey symbol for the projective group by mediant refinement.
 
-    Deterministic: always works on the leftmost unlabeled side, tries an
-    even self-pairing, then an odd one, then a free pairing with the
-    leftmost unlabeled side that passes every check, and otherwise splits
-    the side at its mediant.  A matrix (up to sign and inversion) is
-    never accepted for two different sides.
+    Deterministic: always works on the leftmost open side, tries an even
+    self-pairing, then an odd one, then a free pairing with another open
+    side, and otherwise splits the side at its mediant.  A matrix (up to
+    sign and inversion) is never accepted for two different sides.
+
+    The open sides sit on a stack, leftmost on top.  A split pushes
+    (mediant, y) and then (x, mediant); a free pairing labels the partner
+    to the right in place, and it is appended when it reaches the top.
+    So sides are finished left to right, and the fractions come out in
+    order without any list surgery.
+
+    A candidate is screened on its entries first: c = 0 mod N, and for
+    gamma1 a = d = 1 or a = d = -1 mod N.  The entries are polynomials in
+    the endpoints, so the even and odd screens run on the endpoints mod
+    N and multiply no big integers.  Only a candidate that passes is
+    built as a matrix, and it is accepted only if it is new and passes
+    the determinant check, `proj_member` and its endpoint checks.
 
     Free partners are looked up, not scanned.  The free candidate for
     the side x -> y onto the side w -> z is -M_w * S * M_x^-1 with
     M_x = [[a2, a1], [b2, b1]] and M_w = [[a4, a3], [b4, b3]], so it lies
     in the projective group exactly when the bottom rows (b3, -b4) of
-    M_w * S and (b2, b1) of M_x have the same coset key.  The unlabeled
-    sides are bucketed by the key of (b3, -b4), and side x -> y tries
-    only the bucket of (b2, b1), left to right, with every check of a
-    scan, so it accepts the partner a scan would.  Past level 1 a bucket
-    holds at most one side: a group element carrying one onto another
-    would carry the grown region's triangle on the first onto its
-    triangle on the second, and those triangles are inequivalent.
+    M_w * S and (b2, b1) of M_x have the same coset key.  The open sides
+    are filed by the key of (b3, -b4), and side x -> y looks up the key of
+    (b2, b1).  Past level 1 a key files at most one open side, which is
+    asserted: a group element carrying one onto another would carry the
+    grown region's triangle on the first onto its triangle on the
+    second, and those triangles are inequivalent.  (At level 1 there is
+    one coset, and the seed sides pair as even and odd before any lookup.)
     """
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
     eff = _normalize_family(family, level)
+    n = level
     max_sides = max(64, 4 * index_formula(eff, level))
     key = _coset_key_fn(eff, level)
+    if eff == "gamma0":
+        def screen(a: int, b: int, c: int, d: int) -> bool:
+            return c % n == 0
+    else:
+        diagonal = {(1, 1), (n - 1, n - 1)}
 
-    def member(m: IntegerMatrix) -> bool:
-        return proj_member(eff, level, m)
+        def screen(a: int, b: int, c: int, d: int) -> bool:
+            return c % n == 0 and (a % n, d % n) in diagonal
 
-    fractions: list[Fraction2] = [(-1, 0), (0, 1), (1, 0)]
-    labels: list[str | int | None] = [None, None]
-    used: set[tuple] = set()
+    used: set[Entries] = set()
+    # open sides (w, z) but the one being labeled, by the coset key of the
+    # bottom row (b3, -b4)
+    open_by_key: dict[tuple, tuple[Fraction2, Fraction2]] = {}
+    # free partners labeled before they reach the top of the stack
+    partner_label: dict[tuple[Fraction2, Fraction2], int] = {}
     next_pair_id = 1
-    # unlabeled sides (w, z), by the coset key of the bottom row (b3, -b4)
-    unlabeled: dict[tuple, set[tuple[Fraction2, Fraction2]]] = {}
 
     def partner_key(side: tuple[Fraction2, Fraction2]) -> tuple:
         (_, b3), (_, b4) = side
         return key(b3, -b4)
 
-    def add(side: tuple[Fraction2, Fraction2]) -> None:
-        unlabeled.setdefault(partner_key(side), set()).add(side)
+    def push(side: tuple[Fraction2, Fraction2]) -> None:
+        k = partner_key(side)
+        if k in open_by_key and level > 1:
+            raise AssertionError(
+                f"open sides {open_by_key[k]} and {side} share the coset "
+                f"key {k}")
+        open_by_key[k] = side
+        stack.append(side)
 
-    def remove(side: tuple[Fraction2, Fraction2]) -> None:
-        unlabeled[partner_key(side)].remove(side)
+    def fresh(entries: Entries) -> IntegerMatrix | None:
+        """The screened candidate with these entries, if it is unused."""
+        m = IntegerMatrix(*entries)
+        if _proj_key(m) in used:
+            return None
+        if not proj_member(eff, level, m):
+            raise AssertionError(f"candidate {m} passes the entry screen "
+                                 f"but fails the membership predicate")
+        return m
 
-    def accept(matrix: IntegerMatrix) -> None:
-        used.add(_proj_key(matrix))
-        used.add(_proj_key(matrix.inverse()))
+    def accept(m: IntegerMatrix) -> None:
+        used.add(_proj_key(m))
+        used.add(_proj_key(m.inverse()))
 
-    add((fractions[0], fractions[1]))
-    add((fractions[1], fractions[2]))
-    i = 0
-    while True:
-        # the leftmost unlabeled side never moves left
-        try:
-            i = labels.index(None, i)
-        except ValueError:
-            break
-        x, y = fractions[i], fractions[i + 1]
-        side = (x, y)
-
-        even = _even_candidate(x, y)
-        if member(even) and _proj_key(even) not in used:
-            if not (_proj_maps(even, x, y) and _proj_maps(even, y, x)):
-                raise AssertionError(f"even candidate fails endpoint check on {x}, {y}")
-            labels[i] = "even"
-            accept(even)
-            remove(side)
-            continue
-
-        odd = _odd_candidate(x, y)
-        if member(odd) and _proj_key(odd) not in used:
-            if not (_proj_maps(odd, y, x) and _proj_maps(odd, x, _mediant(x, y))):
-                raise AssertionError(f"odd candidate fails endpoint check on {x}, {y}")
-            labels[i] = "odd"
-            accept(odd)
-            remove(side)
-            continue
-
-        # side i itself may be among them: its free candidate is the even
-        # one, of trace 0
-        candidates = unlabeled.get(key(y[1], x[1]), ())
-        for other in sorted(candidates, key=_LEFT_TO_RIGHT):
-            g = _free_candidate(side, other)
-            if abs(g.trace) < 2 or g.proj_eq(IDENTITY):
-                continue
-            if not member(g):
+    def claim(side: tuple[Fraction2, Fraction2]) -> str | int | None:
+        """Label the top side by the first pairing that fits, if any."""
+        nonlocal next_pair_id
+        x, y = side
+        rx, ry = (x[0] % n, x[1] % n), (y[0] % n, y[1] % n)
+        m = fresh(_even_entries(x, y)) \
+            if screen(*_even_entries(rx, ry)) else None
+        if m is not None:
+            if not (_proj_maps(m, x, y) and _proj_maps(m, y, x)):
                 raise AssertionError(
-                    f"free candidate onto {other} has a matching coset key "
-                    f"but fails the membership predicate")
-            if _proj_key(g) not in used:
-                w, z = other
-                j = fractions.index(w, i + 1)
-                if not (_proj_maps(g, x, z) and _proj_maps(g, y, w)):
-                    raise AssertionError(
-                        f"free candidate fails endpoint check on sides {i}, {j}")
-                labels[i] = labels[j] = next_pair_id
-                next_pair_id += 1
-                accept(g)
-                remove(side)
-                remove(other)
-                break
-        else:
+                    f"even candidate fails endpoint check on {x}, {y}")
+            accept(m)
+            return "even"
+        m = fresh(_odd_entries(x, y)) \
+            if screen(*_odd_entries(rx, ry)) else None
+        if m is not None:
+            if not (_proj_maps(m, y, x) and _proj_maps(m, x, _mediant(x, y))):
+                raise AssertionError(
+                    f"odd candidate fails endpoint check on {x}, {y}")
+            accept(m)
+            return "odd"
+        other = open_by_key.get(key(y[1], x[1]))
+        if other is None:
+            return None
+        entries = _free_entries(side, other)
+        if abs(entries[0] + entries[3]) < 2 or \
+                entries in ((1, 0, 0, 1), (-1, 0, 0, -1)):
+            return None
+        if not screen(*entries):
+            raise AssertionError(
+                f"free candidate onto {other} has a matching coset key "
+                f"but fails the membership predicate")
+        m = fresh(entries)
+        if m is None:
+            return None
+        w, z = other
+        if not (_proj_maps(m, x, z) and _proj_maps(m, y, w)):
+            raise AssertionError(
+                f"free candidate fails endpoint check on sides {side}, {other}")
+        accept(m)
+        del open_by_key[partner_key(other)]
+        partner_label[other] = label = next_pair_id
+        next_pair_id += 1
+        return label
+
+    fractions: list[Fraction2] = [(-1, 0)]
+    labels: list[str | int] = []
+    stack: list[tuple[Fraction2, Fraction2]] = []
+    push(((0, 1), (1, 0)))
+    push(((-1, 0), (0, 1)))
+    sides = 2
+    while stack:
+        side = stack.pop()
+        label = partner_label.pop(side, None)
+        if label is None:
+            # at level 1 the seeds share the one key, so it may be gone
+            open_by_key.pop(partner_key(side), None)
+            label = claim(side)
+        if label is None:
+            x, y = side
             mediant = _mediant(x, y)
-            fractions.insert(i + 1, mediant)
-            labels.insert(i, None)
-            remove(side)
-            add((x, mediant))
-            add((mediant, y))
-            if len(labels) > max_sides:
+            push((mediant, y))
+            push((x, mediant))
+            sides += 1
+            if sides > max_sides:
                 raise RuntimeError(f"refinement for {family}({level}) "
                                    f"exceeded {max_sides} sides")
+            continue
+        fractions.append(side[1])
+        labels.append(label)
 
     symbol = FareySymbol(family, level, tuple(fractions), tuple(labels))
     symbol.validate()

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from . import counting, engine
 from .matrices import IntegerMatrix, factorize
 from .presentation import (FAMILIES as PRESENTATION_FAMILIES, coset_action,
-                           farey_symbol, general_level, generator_set,
-                           index_formula)
+                           elliptic_counts, farey_symbol, free_rank,
+                           general_level, generator_set, index_formula)
 from .lifts import (SignCharacter, classify_all, find_witness, full_image,
                     lift_generators, propagate_witness)
 
@@ -289,6 +289,14 @@ def check_property_suite(max_n: int = 24,
             gens = generator_set(family, n)
             if gens.index != index_formula(family, n):
                 bad.append(("farey index", family, n, gens.index))
+            # the two presentation routes cross-check each other
+            action = coset_action(family, n)
+            e2, e3 = elliptic_counts(action)
+            want = (e2, e3, free_rank(action.degree, e2, e3))
+            got = (symbol.e2, symbol.e3, symbol.rank)
+            if got != want:
+                bad.append(("farey e2/e3/r vs coset action", family, n, got,
+                            want))
             if len(gens.entries) != gens.e2 + gens.e3 + gens.rank:
                 bad.append(("farey generator count", family, n))
 

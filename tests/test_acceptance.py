@@ -52,6 +52,14 @@ def test_property_suite_through_24():
     assert passed, detail
 
 
+def test_property_suite_flags_farey_torsion_off_the_coset_action(monkeypatch):
+    # a coset action whose free rank disagrees with the Farey symbol's
+    monkeypatch.setattr(verify, "free_rank", lambda d, e2, e3: d)
+    passed, detail = verify.check_property_suite(max_n=4)
+    assert not passed
+    assert "farey e2/e3/r vs coset action" in detail
+
+
 def test_negative_control_tampered_witness_is_caught():
     results = verify.run_suite(max_n=5, seed_tamper=True)
     by_name = {r.name: r for r in results}

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from liftlab import engine, presentation
-from liftlab.matrices import IDENTITY, IntegerMatrix
+from liftlab import engine, lifts, presentation
+from liftlab.matrices import IDENTITY, S, T, IntegerMatrix
 from liftlab.presentation import (IndexBoundExceeded, build_coset_action,
                                   coset_action, cusp_widths, elliptic_counts,
                                   farey_symbol, free_rank, general_level,
@@ -308,13 +308,76 @@ def test_gamma0_key_partitions_like_the_unit_orbits():
         assert len(new_key_of_class) == index_formula("gamma0", n), n
 
 
+def walk_tree(n):
+    """Tree and edges of the gamma0(n) coset walk under the current key."""
+    return presentation._coset_walk(
+        presentation._coset_key_fn("gamma0", n), n, (S, T),
+        presentation.DEFAULT_MAX_INDEX, f"gamma0({n})")
+
+
 def test_coset_representatives_unchanged_by_the_gamma0_key(monkeypatch):
-    new = {n: build_coset_action("gamma0", n) for n in (12, 30, 60)}
+    # the walk tree names the representatives, so equal trees mean equal
+    # representatives
+    new = {n: (walk_tree(n), build_coset_action("gamma0", n))
+           for n in (12, 30, 60)}
     monkeypatch.setattr(presentation, "_coset_key_fn", unit_orbit_key_fn)
-    for n, action in new.items():
+    for n, (walk, action) in new.items():
+        assert walk_tree(n) == walk, n
         old = build_coset_action("gamma0", n)
-        assert action.representatives == old.representatives, n
         assert (action.s_perm, action.t_perm) == (old.s_perm, old.t_perm)
+
+
+def matrix_coset_walk(key, steps):
+    """The coset walk on integer matrices, by repeated products.
+
+    Kept here only as the oracle for the walk on bottom rows mod N.
+    """
+    index_of = {key(0, 1): 0}
+    reps = [IDENTITY]
+    edges = []
+    for rep in reps:
+        row = []
+        for step in steps:
+            image = rep * step
+            k = key(image.c, image.d)
+            if k not in index_of:
+                index_of[k] = len(reps)
+                reps.append(image)
+            row.append(index_of[k])
+        edges.append(row)
+    return reps, edges
+
+
+def test_row_walk_matches_the_matrix_walk():
+    cases = [("gamma0", n) for n in range(1, 61)]
+    cases += [("gamma1", n) for n in range(1, 31)]
+    for family, n in cases:
+        key = presentation._coset_key_fn(family, n)
+        reps, edges = matrix_coset_walk(key, (S, T))
+        tree, got = presentation._coset_walk(
+            key, n, (S, T), presentation.DEFAULT_MAX_INDEX, family)
+        assert got == edges, (family, n)
+        rebuilt = [IDENTITY]
+        for i, k in tree:
+            rebuilt.append(rebuilt[i] * (S, T)[k])
+        assert rebuilt == reps, (family, n)
+        action = build_coset_action(family, n)
+        s_perm, t_perm = zip(*edges)
+        assert (action.s_perm, action.t_perm) == (s_perm, t_perm), (family, n)
+
+
+def test_pull_back_matches_the_matrix_walk():
+    # the property suite's pulled-back levels
+    parent = lifts.find_witness("gamma0", 6)
+    steps = parent.generators
+    for family, n in (("gamma1", 6), ("gamma0", 12), ("gamma1", 12)):
+        reps, edges = matrix_coset_walk(
+            presentation._coset_key_fn(family, n), steps)
+        want = lifts._schreier_filter(
+            reps[i] * g * reps[j].inverse()
+            for i, row in enumerate(edges) for g, j in zip(steps, row))
+        assert lifts.propagate_witness(parent, family, n) == tuple(want), \
+            (family, n)
 
 
 def test_gamma1_presentation_at_level_100():
