@@ -338,6 +338,8 @@ class ClassificationReport:
 @lru_cache(maxsize=48)
 def _classify_all_cached(family: str, level: int,
                          max_modulus: int) -> ClassificationReport:
+    # Every path needs H: building it first checks the cap before the symbol.
+    _full_image_cached(family, level, max_modulus)
     generators = generator_set(family, level)
     total = congruence = 1
     if generators.e2 == 0:

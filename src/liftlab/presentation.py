@@ -21,10 +21,14 @@ symbol, in left-to-right order.  Free partners are looked up by coset
 key instead of scanned: the free candidate below lies in the group
 exactly when two bottom rows share a key (see `farey_symbol`), so the
 construction stays near-linear in the number of sides.  Candidates are
-screened on their entries mod N, and only one that passes is built as
-a matrix; it must then pass the determinant check, the projective
-membership predicate and its endpoint action before it is accepted, so
-the construction never trusts a formula it cannot check.
+screened on their entries mod N, and only one that passes and is new up
+to sign and inversion is built as a matrix and accepted.  The symbol
+records each accepted matrix with its kind, and those pairings are the
+presentation generators: `generators_from_symbol` reads them off.
+`FareySymbol.validate` is the one check of them (kind, membership,
+endpoint action, trace, no repeats; `IntegerMatrix` checks the
+determinant), so the construction never hands out a formula it has not
+checked.
 
 Side-pairing candidates for a side from a1/b1 to a2/b2 (consecutive
 entries satisfy a2*b1 - a1*b2 = 1; infinities are carried as (-1, 0) and
@@ -198,11 +202,10 @@ def _check_action(action: CosetAction) -> None:
             raise AssertionError("S*T-permutation does not cube to identity")
 
 
-# A default `liftlab verify` asks for 45 distinct coset actions and 48
-# distinct generator sets, and at these sizes neither cache evicts an
-# entry it is asked for again (one less would turn 38 of 132 action
-# lookups, or 18 of 2298 generator lookups, from hits into misses).  A long
-# level range no longer keeps every level it has seen.
+# A default `liftlab verify` asks for 45 distinct coset actions, and at
+# this size the cache evicts no entry it is asked for again (one less
+# would turn 38 of 132 lookups from hits into misses).  A long level
+# range no longer keeps every level it has seen.
 @lru_cache(maxsize=45)
 def _cached_action(family: str, level: int) -> CosetAction:
     return build_coset_action(family, level)
@@ -309,19 +312,6 @@ def _free_entries(side: tuple[Fraction2, Fraction2],
             -(b4 * b2 + b3 * b1), a2 * b4 + a1 * b3)
 
 
-def _even_candidate(x: Fraction2, y: Fraction2) -> IntegerMatrix:
-    return IntegerMatrix(*_even_entries(x, y))
-
-
-def _odd_candidate(x: Fraction2, y: Fraction2) -> IntegerMatrix:
-    return IntegerMatrix(*_odd_entries(x, y))
-
-
-def _free_candidate(side: tuple[Fraction2, Fraction2],
-                    other: tuple[Fraction2, Fraction2]) -> IntegerMatrix:
-    return IntegerMatrix(*_free_entries(side, other))
-
-
 def _proj_maps(m: IntegerMatrix, x: Fraction2, y: Fraction2) -> bool:
     """Whether m carries the cusp x onto the cusp y (projectively)."""
     a, b = x
@@ -329,9 +319,10 @@ def _proj_maps(m: IntegerMatrix, x: Fraction2, y: Fraction2) -> bool:
     return image == y or image == (-y[0], -y[1])
 
 
-def _proj_key(m: IntegerMatrix) -> Entries:
-    a, b, c, d = entries = m.entries()
-    return min(entries, (-a, -b, -c, -d))
+def _proj_keys(m: Entries) -> tuple[Entries, Entries]:
+    """Sign-free keys of the matrix with entries m and of its inverse."""
+    a, b, c, d = m
+    return min(m, (-a, -b, -c, -d)), min((d, -b, -c, a), (-d, b, c, -a))
 
 
 @dataclass(frozen=True)
@@ -340,13 +331,16 @@ class FareySymbol:
 
     `fractions` runs from (-1, 0) to (1, 0); `labels` has one entry per
     consecutive pair: "even", "odd", or a positive pairing id appearing
-    exactly twice.
+    exactly twice.  `pairings` holds one (matrix, kind) per even side,
+    odd side and free pair, in side order, a free pair at its left side:
+    the side-pairing matrices that generate the group.
     """
 
     family: str
     level: int
     fractions: tuple[Fraction2, ...]
     labels: tuple[str | int, ...]
+    pairings: tuple[tuple[IntegerMatrix, str], ...]
 
     @property
     def e2(self) -> int:
@@ -382,6 +376,14 @@ class FareySymbol:
         return out
 
     def validate(self) -> None:
+        """Check the fraction sequence, the labels and every pairing.
+
+        A pairing must have its side's kind and lie in the group; an even
+        one must swap its side's endpoints with trace 0, an odd one cycle
+        endpoint 2 -> endpoint 1 -> mediant with trace -1, and a free one
+        carry its side onto the partner side, reversed, with |trace| >= 2.
+        No matrix may pair two sides, up to sign and inversion.
+        """
         if len(self.labels) != len(self.fractions) - 1:
             raise AssertionError("label count does not match side count")
         if self.fractions[0] != (-1, 0) or self.fractions[-1] != (1, 0):
@@ -390,12 +392,49 @@ class FareySymbol:
             if a2 * b1 - a1 * b2 != 1:
                 raise AssertionError(
                     f"consecutive pair {(a1, b1)}, {(a2, b2)} not unimodular")
-        self.pair_positions()
+        pairs = self.pair_positions()
+        sides = [i for i, lab in enumerate(self.labels)
+                 if not isinstance(lab, int) or pairs[lab][0] == i]
+        if len(sides) != len(self.pairings):
+            raise AssertionError(f"{len(self.pairings)} pairings recorded "
+                                 f"for {len(sides)} sides and pairs")
+        used: set[Entries] = set()
+        for i, (m, kind) in zip(sides, self.pairings):
+            lab = self.labels[i]
+            if kind != ("free" if isinstance(lab, int) else lab):
+                raise AssertionError(f"{kind} pairing on side {i}, labeled "
+                                     f"{lab!r}")
+            keys = _proj_keys(m.entries())
+            if not used.isdisjoint(keys):
+                raise AssertionError(f"pairing {m} is used twice")
+            used.update(keys)
+            if not proj_member(self.family, self.level, m):
+                raise AssertionError(
+                    f"pairing {m} fails the membership predicate")
+            x, y = self.side(i)
+            if kind == "even":
+                acts = _proj_maps(m, x, y) and _proj_maps(m, y, x)
+                traced = m.trace == 0
+            elif kind == "odd":
+                acts = _proj_maps(m, y, x) and \
+                    _proj_maps(m, x, _mediant(x, y))
+                traced = m.trace == -1
+            else:
+                w, z = self.side(pairs[lab][1])
+                acts = _proj_maps(m, x, z) and _proj_maps(m, y, w)
+                traced = abs(m.trace) >= 2
+            if not acts:
+                raise AssertionError(
+                    f"{kind} pairing {m} fails its endpoint check on side {i}")
+            if not traced:
+                raise AssertionError(
+                    f"{kind} pairing {m} has the wrong trace {m.trace}")
 
 
-# `generator_set` grows its symbol here, so a caller asking for both gets
-# one symbol.  A default `liftlab verify` asks for 48 distinct symbols, and
-# at this size 40 of its 88 lookups hit, as with no bound (47 gives 22).
+# The one cache of a level's presentation: `generator_set` reads its
+# generators off this symbol.  A default `liftlab verify` asks for 48
+# distinct symbols, and at this size 2290 of its 2338 lookups hit, as with
+# no bound (47 turns 18 of those hits into misses).
 @lru_cache(maxsize=48)
 def farey_symbol(family: str, level: int) -> FareySymbol:
     """Grow a Farey symbol for the projective group by mediant refinement.
@@ -414,9 +453,9 @@ def farey_symbol(family: str, level: int) -> FareySymbol:
     A candidate is screened on its entries first: c = 0 mod N, and for
     gamma1 a = d = 1 or a = d = -1 mod N.  The entries are polynomials in
     the endpoints, so the even and odd screens run on the endpoints mod
-    N and multiply no big integers.  Only a candidate that passes is
-    built as a matrix, and it is accepted only if it is new and passes
-    the determinant check, `proj_member` and its endpoint checks.
+    N and multiply no big integers.  A candidate that passes and is new
+    is built as a matrix, accepted and recorded in the symbol's
+    `pairings`, which `validate` checks before the symbol is returned.
 
     Free partners are looked up, not scanned.  The free candidate for
     the side x -> y onto the side w -> z is -M_w * S * M_x^-1 with
@@ -446,6 +485,7 @@ def farey_symbol(family: str, level: int) -> FareySymbol:
             return c % n == 0 and (a % n, d % n) in diagonal
 
     used: set[Entries] = set()
+    pairings: list[tuple[IntegerMatrix, str]] = []
     # open sides (w, z) but the one being labeled, by the coset key of the
     # bottom row (b3, -b4)
     open_by_key: dict[tuple, tuple[Fraction2, Fraction2]] = {}
@@ -466,41 +506,24 @@ def farey_symbol(family: str, level: int) -> FareySymbol:
         open_by_key[k] = side
         stack.append(side)
 
-    def fresh(entries: Entries) -> IntegerMatrix | None:
-        """The screened candidate with these entries, if it is unused."""
-        m = IntegerMatrix(*entries)
-        if _proj_key(m) in used:
-            return None
-        if not proj_member(eff, level, m):
-            raise AssertionError(f"candidate {m} passes the entry screen "
-                                 f"but fails the membership predicate")
-        return m
-
-    def accept(m: IntegerMatrix) -> None:
-        used.add(_proj_key(m))
-        used.add(_proj_key(m.inverse()))
+    def accept(entries: Entries, kind: str) -> bool:
+        """Record the screened candidate with these entries, if unused."""
+        keys = _proj_keys(entries)
+        if keys[0] in used:
+            return False
+        used.update(keys)
+        pairings.append((IntegerMatrix(*entries), kind))
+        return True
 
     def claim(side: tuple[Fraction2, Fraction2]) -> str | int | None:
         """Label the top side by the first pairing that fits, if any."""
         nonlocal next_pair_id
         x, y = side
         rx, ry = (x[0] % n, x[1] % n), (y[0] % n, y[1] % n)
-        m = fresh(_even_entries(x, y)) \
-            if screen(*_even_entries(rx, ry)) else None
-        if m is not None:
-            if not (_proj_maps(m, x, y) and _proj_maps(m, y, x)):
-                raise AssertionError(
-                    f"even candidate fails endpoint check on {x}, {y}")
-            accept(m)
-            return "even"
-        m = fresh(_odd_entries(x, y)) \
-            if screen(*_odd_entries(rx, ry)) else None
-        if m is not None:
-            if not (_proj_maps(m, y, x) and _proj_maps(m, x, _mediant(x, y))):
-                raise AssertionError(
-                    f"odd candidate fails endpoint check on {x}, {y}")
-            accept(m)
-            return "odd"
+        for kind, entries_of in (("even", _even_entries),
+                                 ("odd", _odd_entries)):
+            if screen(*entries_of(rx, ry)) and accept(entries_of(x, y), kind):
+                return kind
         other = open_by_key.get(key(y[1], x[1]))
         if other is None:
             return None
@@ -508,18 +531,8 @@ def farey_symbol(family: str, level: int) -> FareySymbol:
         if abs(entries[0] + entries[3]) < 2 or \
                 entries in ((1, 0, 0, 1), (-1, 0, 0, -1)):
             return None
-        if not screen(*entries):
-            raise AssertionError(
-                f"free candidate onto {other} has a matching coset key "
-                f"but fails the membership predicate")
-        m = fresh(entries)
-        if m is None:
+        if not accept(entries, "free"):
             return None
-        w, z = other
-        if not (_proj_maps(m, x, z) and _proj_maps(m, y, w)):
-            raise AssertionError(
-                f"free candidate fails endpoint check on sides {side}, {other}")
-        accept(m)
         del open_by_key[partner_key(other)]
         partner_label[other] = label = next_pair_id
         next_pair_id += 1
@@ -551,7 +564,8 @@ def farey_symbol(family: str, level: int) -> FareySymbol:
         fractions.append(side[1])
         labels.append(label)
 
-    symbol = FareySymbol(family, level, tuple(fractions), tuple(labels))
+    symbol = FareySymbol(family, level, tuple(fractions), tuple(labels),
+                         tuple(pairings))
     symbol.validate()
     return symbol
 
@@ -560,10 +574,11 @@ def farey_symbol(family: str, level: int) -> FareySymbol:
 class GeneratorSet:
     """Side-pairing generators read off a Farey symbol.
 
-    One entry per even side (order 2 projectively), odd side (order 3,
-    trace normalized to -1 so the cube is +I in SL2(Z)) and free pair
-    (infinite order).  Together with -I these generate the full preimage
-    of the projective group in SL2(Z).
+    `entries` is the symbol's `pairings`: one entry per even side (order
+    2 projectively), odd side (order 3, trace normalized to -1 so the
+    cube is +I in SL2(Z)) and free pair (infinite order), in side order.
+    Together with -I these generate the full preimage of the projective
+    group in SL2(Z).
     """
 
     family: str
@@ -596,40 +611,18 @@ class GeneratorSet:
 
 
 def generators_from_symbol(symbol: FareySymbol) -> GeneratorSet:
-    """Recover the side-pairing matrices of a validated Farey symbol."""
-    entries: list[tuple[IntegerMatrix, str]] = []
-    pairs = symbol.pair_positions()
-    for i, lab in enumerate(symbol.labels):
-        x, y = symbol.side(i)
-        if lab == "even":
-            m = _even_candidate(x, y)
-            if m.trace != 0:
-                raise AssertionError("even generator must have trace 0")
-            entries.append((m, "even"))
-        elif lab == "odd":
-            m = _odd_candidate(x, y)
-            if m.trace != -1:
-                raise AssertionError("odd generator must have trace -1")
-            entries.append((m, "odd"))
-        else:
-            first, second = pairs[lab]
-            if i != first:
-                continue
-            m = _free_candidate(symbol.side(first), symbol.side(second))
-            if abs(m.trace) < 2:
-                raise AssertionError("free generator must have infinite order")
-            entries.append((m, "free"))
-    for m, _ in entries:
-        if not proj_member(symbol.family, symbol.level, m):
-            raise AssertionError(f"generator {m} fails the membership predicate")
+    """The side-pairing matrices a Farey symbol recorded, as generators.
+
+    `FareySymbol.validate` checks them (`farey_symbol` validates every
+    symbol it grows), so they are read off, not rebuilt.
+    """
     gens = GeneratorSet(symbol.family, symbol.level, symbol.index,
-                        symbol.e2, symbol.e3, symbol.rank, tuple(entries))
+                        symbol.e2, symbol.e3, symbol.rank, symbol.pairings)
     if len(gens.entries) != gens.e2 + gens.e3 + gens.rank:
         raise AssertionError("generator count must equal e2 + e3 + r")
     return gens
 
 
-@lru_cache(maxsize=48)
 def generator_set(family: str, level: int) -> GeneratorSet:
-    """Cached presentation generators for the projective group."""
+    """Presentation generators, read off the cached Farey symbol."""
     return generators_from_symbol(farey_symbol(family, level))

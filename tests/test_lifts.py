@@ -337,6 +337,19 @@ def test_certificates_survive_independent_closure():
                 assert 2 * image.order == full_order
 
 
+def test_classify_all_checks_the_cap_before_the_symbol(monkeypatch):
+    # Past the cap classify_all must fail before it grows the Farey symbol
+    # of gamma1(600), index 115200.
+    monkeypatch.delenv("LIFTLAB_MAX_MODULUS", raising=False)
+
+    def no_symbol(family, level):
+        raise AssertionError(f"grew the symbol of {family}({level})")
+
+    monkeypatch.setattr(lifts, "generator_set", no_symbol)
+    with pytest.raises(engine.ModulusCapExceeded):
+        classify_all("gamma1", 600)
+
+
 def test_level_caches_key_on_the_resolved_cap(monkeypatch):
     monkeypatch.delenv("LIFTLAB_MAX_MODULUS", raising=False)
     caches = (lifts._full_image_cached, lifts._congruence_conditions,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -119,6 +120,29 @@ def test_farey_symbol_validates_and_recovers_index():
             assert symbol.index == index_formula(family, n), (family, n)
 
 
+def tampered(symbol, k, m):
+    """The symbol with its k-th pairing's matrix replaced by m."""
+    pairings = list(symbol.pairings)
+    pairings[k] = (m, pairings[k][1])
+    return dataclasses.replace(symbol, pairings=tuple(pairings))
+
+
+def test_validate_rejects_a_tampered_pairing():
+    symbol = farey_symbol("gamma0", 7)
+    kinds = [kind for _, kind in symbol.pairings]
+    assert kinds == ["free", "odd", "odd"]
+    symbol.validate()
+    free, odd = symbol.pairings[0][0], symbol.pairings[1][0]
+    # projectively the same map, but it cubes to -I
+    with pytest.raises(AssertionError, match="wrong trace 1"):
+        tampered(symbol, 1, -odd).validate()
+    # same trace and membership, but it carries the partner side back
+    with pytest.raises(AssertionError, match="endpoint check"):
+        tampered(symbol, 0, free.inverse()).validate()
+    with pytest.raises(AssertionError, match="used twice"):
+        tampered(symbol, 2, odd).validate()
+
+
 def test_farey_symbol_level_one_is_degenerate():
     symbol = farey_symbol("gamma0", 1)
     assert symbol.labels == ("even", "odd")
@@ -222,51 +246,58 @@ def test_index_bound():
 def scan_farey_symbol(family, level):
     """The quadratic construction: free partners by a left-to-right scan.
 
-    Kept here only as the oracle for the hashed partner lookup.
+    Kept here only as the oracle for the hashed partner lookup.  Returns
+    the fractions, the labels and the accepted (matrix, kind) pairs; the
+    leftmost open side is always the one labeled, so they are accepted in
+    side order, a free pair at its left side.
     """
     eff = presentation._normalize_family(family, level)
     fractions = [(-1, 0), (0, 1), (1, 0)]
     labels = [None, None]
     used = set()
+    accepted = []
     next_pair_id = 1
 
-    def usable(m):
-        return proj_member(eff, level, m) and \
-            presentation._proj_key(m) not in used
+    def proj_key(m):
+        return min(m.entries(), (-m).entries())
 
-    def accept(m):
-        used.add(presentation._proj_key(m))
-        used.add(presentation._proj_key(m.inverse()))
+    def usable(m):
+        return proj_member(eff, level, m) and proj_key(m) not in used
+
+    def accept(m, kind):
+        used.add(proj_key(m))
+        used.add(proj_key(m.inverse()))
+        accepted.append((m, kind))
 
     while None in labels:
         i = labels.index(None)
         x, y = fractions[i], fractions[i + 1]
-        even = presentation._even_candidate(x, y)
+        even = IntegerMatrix(*presentation._even_entries(x, y))
         if usable(even):
             labels[i] = "even"
-            accept(even)
+            accept(even, "even")
             continue
-        odd = presentation._odd_candidate(x, y)
+        odd = IntegerMatrix(*presentation._odd_entries(x, y))
         if usable(odd):
             labels[i] = "odd"
-            accept(odd)
+            accept(odd, "odd")
             continue
         for j in range(i + 1, len(labels)):
             if labels[j] is not None:
                 continue
-            g = presentation._free_candidate(
-                (x, y), (fractions[j], fractions[j + 1]))
+            g = IntegerMatrix(*presentation._free_entries(
+                (x, y), (fractions[j], fractions[j + 1])))
             if abs(g.trace) < 2 or g.proj_eq(IDENTITY):
                 continue
             if usable(g):
                 labels[i] = labels[j] = next_pair_id
                 next_pair_id += 1
-                accept(g)
+                accept(g, "free")
                 break
         else:
             fractions.insert(i + 1, presentation._mediant(x, y))
             labels.insert(i, None)
-    return tuple(fractions), tuple(labels)
+    return tuple(fractions), tuple(labels), tuple(accepted)
 
 
 def test_farey_symbol_matches_the_scan():
@@ -274,8 +305,10 @@ def test_farey_symbol_matches_the_scan():
     cases += [("gamma1", n) for n in range(1, 31)] + [("gamma1", 40)]
     for family, n in cases:
         symbol = farey_symbol(family, n)
-        assert (symbol.fractions, symbol.labels) == \
-            scan_farey_symbol(family, n), (family, n)
+        fractions, labels, accepted = scan_farey_symbol(family, n)
+        assert (symbol.fractions, symbol.labels) == (fractions, labels), \
+            (family, n)
+        assert generator_set(family, n).entries == accepted, (family, n)
 
 
 def unit_orbit_key_fn(family, level):
