@@ -247,11 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True, choices=counting.FAMILIES)
         p.add_argument("--n", required=True,
                        help="level k or inclusive range a..b")
-        p.add_argument("--max-modulus", type=positive_int, default=None)
         p.add_argument("--out", default=None, help="write output to a file")
+
+    def add_cap(p):
+        p.add_argument("--max-modulus", type=positive_int,
+                       default=engine.DEFAULT_MAX_MODULUS,
+                       help="largest modulus the engine enumerates "
+                            "(default: %(default)s)")
 
     p = sub.add_parser("count", help="congruence lift counts")
     add_common(p)
+    add_cap(p)
     p.add_argument("--mode", choices=("formula", "engine", "both"),
                    default="both")
     p.add_argument("--format", choices=("table", "json", "csv"),
@@ -260,12 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify every lift of a level")
     add_common(p)
+    add_cap(p)
     p.add_argument("--format", choices=("table", "json", "csv"),
                    default="table")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("witness", help="export one noncongruence lift")
     add_common(p)
+    add_cap(p)
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("presentation", help="Farey-symbol generators")
@@ -278,14 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-tamper", action="store_true",
                    help="negative control: corrupt one witness sign and "
                         "demand the suite notices")
-    p.add_argument("--max-modulus", type=positive_int, default=None)
+    add_cap(p)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("verify-witness", help="re-validate a witness file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--max-modulus", type=positive_int, default=None)
+    add_cap(p)
     p.set_defaults(fn=cmd_verify_witness)
 
     return parser

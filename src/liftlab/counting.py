@@ -13,6 +13,11 @@ SL2(Z) projecting onto a given projective congruence group:
       1             if -I lies in the squares subgroup,
       1 + 2^(d-1)   otherwise (taken in <G, -I> when -I is not in G).
 
+Here 2^(d-1) counts the hyperplanes of F2^d that avoid the nonzero image
+of -I (`count_codim1_avoiding`, a lemma `verify` checks by enumeration).
+The engine route's modulus cap is a plain argument that bounds each CRT
+component, `engine.DEFAULT_MAX_MODULUS` unless the caller passes another.
+
 The two routes share no code and are kept separate deliberately; their
 agreement over a whole modulus range is the main acceptance check.
 
@@ -30,19 +35,9 @@ from .matrices import factorize
 from .presentation import coset_action, elliptic_counts, free_rank, \
     index_formula
 
-# The three supported families of projective groups.
-FAMILIES = ("gamma0", "gamma1", "gamma")
-
-_ENGINE_KIND = {"gamma0": "gamma0", "gamma1": "gamma1", "gamma": "gamma_full"}
-
-
-def engine_kind(family: str) -> str:
-    """Map a family name onto the engine's membership-kind vocabulary."""
-    try:
-        return _ENGINE_KIND[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; expected one of {FAMILIES}")
+# The three supported families of projective groups, named as the engine
+# names them.
+FAMILIES = engine.FAMILIES
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,9 @@ def _require_level(level: int) -> None:
 def count_congruence_lifts_formula(family: str, level: int) -> LiftCountReport:
     """Closed-form count of congruence lifts. Exact big integers throughout."""
     _require_level(level)
-    engine_kind(family)
+    if family not in FAMILIES:
+        raise ValueError(
+            f"unknown family {family!r}; expected one of {FAMILIES}")
     if family == "gamma0":
         profile = factorize(level)
         s, t = profile.s, profile.t
@@ -115,7 +112,8 @@ def count_congruence_lifts_formula(family: str, level: int) -> LiftCountReport:
 
 
 def count_congruence_lifts_engine(family: str, level: int,
-                                  max_modulus: int | None = None) -> LiftCountReport:
+                                  max_modulus: int = engine.DEFAULT_MAX_MODULUS
+                                  ) -> LiftCountReport:
     """Engine count: build Gamma/Gamma(2N) and apply the d/-I trichotomy.
 
     The image is built one CRT component at a time
@@ -125,7 +123,7 @@ def count_congruence_lifts_engine(family: str, level: int,
     its squares subgroup (as it lies outside G's).
     """
     _require_level(level)
-    summary = engine.quotient_summary_crt(engine_kind(family), level,
+    summary = engine.quotient_summary_crt(family, level,
                                           max_modulus=max_modulus)
     minus_in_gamma = summary.minus_one_in_group
     dim2 = summary.dim2 + (not minus_in_gamma)
@@ -133,7 +131,8 @@ def count_congruence_lifts_engine(family: str, level: int,
         count = 1
         branch = "-1 in squares subgroup"
     else:
-        count = 1 + 2 ** (dim2 - 1)
+        # -I has a nonzero label here, so dim2 >= 1
+        count = 1 + count_codim1_avoiding(2, dim2)
         branch = ("-1 outside squares subgroup" if minus_in_gamma
                   else "-1 adjoined, outside squares subgroup")
     return LiftCountReport(

@@ -11,13 +11,17 @@ bottom rows (c, d): each row with gcd(c, d, n) = 1 extends to exactly n
 matrices (a0 + t*c, b0 + t*d, c, d), so we never scan all n^4 entry
 combinations.  Rows are restricted up front to those a matrix satisfying
 the subgroup's congruence conditions could have; the per-matrix filter
-still applies the full defining predicate.
+still applies the full defining predicate.  Images are named by the
+package's family names (gamma0, gamma1, gamma).
+
+Every enumeration is bounded by a modulus cap, a plain `max_modulus`
+argument that defaults to `DEFAULT_MAX_MODULUS`; past it the engine
+raises `ModulusCapExceeded` instead of grinding.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -26,8 +30,9 @@ from .matrices import factorize
 
 DEFAULT_MAX_MODULUS = 96
 
-# Membership kinds for images of the classical congruence subgroups.
-KINDS = ("gamma0", "gamma1", "gamma_full", "full")
+# The families of congruence subgroups whose images the engine builds;
+# level 1 of any of them is all of SL2.
+FAMILIES = ("gamma0", "gamma1", "gamma")
 
 Element = tuple[int, int, int, int]
 
@@ -40,33 +45,12 @@ class ModulusCapExceeded(ValueError):
         self.cap = cap
         super().__init__(
             f"modulus {modulus} exceeds the engine cap {cap}; "
-            f"raise it with --max-modulus (max_modulus= in the library) "
-            f"or the LIFTLAB_MAX_MODULUS environment variable")
+            f"raise it with --max-modulus (max_modulus= in the library)")
 
 
-def max_modulus_default() -> int:
-    """Engine modulus cap: LIFTLAB_MAX_MODULUS overrides the built-in 96."""
-    raw = os.environ.get("LIFTLAB_MAX_MODULUS")
-    if raw is None:
-        return DEFAULT_MAX_MODULUS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"LIFTLAB_MAX_MODULUS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"LIFTLAB_MAX_MODULUS must be positive, got {value}")
-    return value
-
-
-def effective_max_modulus(max_modulus: int | None) -> int:
-    """The cap that applies: `max_modulus`, or the default when it is None."""
-    return max_modulus if max_modulus is not None else max_modulus_default()
-
-
-def _check_cap(modulus: int, max_modulus: int | None) -> None:
-    cap = effective_max_modulus(max_modulus)
-    if modulus > cap:
-        raise ModulusCapExceeded(modulus, cap)
+def _check_cap(modulus: int, max_modulus: int) -> None:
+    if modulus > max_modulus:
+        raise ModulusCapExceeded(modulus, max_modulus)
 
 
 def mul(x: Element, y: Element, n: int) -> Element:
@@ -92,16 +76,6 @@ def identity(n: int) -> Element:
 
 def minus_identity(n: int) -> Element:
     return (-1 % n, 0, 0, -1 % n)
-
-
-def sl2_order(n: int) -> int:
-    """|SL2(Z/n)| = n^3 * prod over p | n of (1 - 1/p^2)."""
-    order = n ** 3
-    for p, _ in factorize(n).odd_factors:
-        order = order // (p * p) * (p * p - 1)
-    if n % 2 == 0:
-        order = order // 4 * 3
-    return order
 
 
 @dataclass(frozen=True)
@@ -227,24 +201,24 @@ def _xgcd(x: int, y: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def _kind_filters(kind: str, level: int) -> tuple[int, Callable[[Element], bool]]:
+def _family_filters(family: str,
+                    level: int) -> tuple[int, Callable[[Element], bool]]:
     """Row stride and per-matrix predicate for a congruence image."""
-    if kind == "full":
-        return 1, lambda m: True
-    if kind == "gamma0":
+    if family == "gamma0":
         return level, lambda m: m[2] % level == 0
-    if kind == "gamma1":
+    if family == "gamma1":
         return level, lambda m: (m[2] % level == 0 and m[0] % level == 1 % level
                                  and m[3] % level == 1 % level)
-    if kind == "gamma_full":
+    if family == "gamma":
         return level, lambda m: (m[2] % level == 0 and m[1] % level == 0
                                  and m[0] % level == 1 % level
                                  and m[3] % level == 1 % level)
-    raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def subgroup_by_membership(kind: str, level: int, modulus: int,
-                           max_modulus: int | None = None) -> ResidueMatrixGroup:
+def subgroup_by_membership(family: str, level: int, modulus: int,
+                           max_modulus: int = DEFAULT_MAX_MODULUS
+                           ) -> ResidueMatrixGroup:
     """Image of a congruence subgroup of level `level` in SL2(Z/modulus).
 
     The image of Gamma_0(N) (resp. Gamma_1, Gamma(N)) mod n consists of
@@ -258,7 +232,7 @@ def subgroup_by_membership(kind: str, level: int, modulus: int,
             f"modulus {modulus} is not a multiple of the level {level}")
     _check_cap(modulus, max_modulus)
     n = modulus
-    stride, keep = _kind_filters(kind, level)
+    stride, keep = _family_filters(family, level)
     elements = set()
     for c in range(0, n, stride):
         for d in range(n):
@@ -375,7 +349,7 @@ def f2_dependencies(rows: Iterable[tuple[int, int]]) -> list[int]:
 class QuotientSummary:
     """dim2 and the two -I membership flags for one congruence image."""
 
-    kind: str
+    family: str
     level: int
     modulus: int
     group_order: int
@@ -384,15 +358,16 @@ class QuotientSummary:
     minus_one_in_squares: bool
 
 
-def quotient_summary(kind: str, level: int, modulus: int | None = None,
-                     max_modulus: int | None = None) -> QuotientSummary:
+def quotient_summary(family: str, level: int, modulus: int | None = None,
+                     max_modulus: int = DEFAULT_MAX_MODULUS
+                     ) -> QuotientSummary:
     """Two-quotient data for the image of a congruence subgroup mod 2N."""
     n = 2 * level if modulus is None else modulus
-    group = subgroup_by_membership(kind, level, n, max_modulus=max_modulus)
+    group = subgroup_by_membership(family, level, n, max_modulus)
     quotient = two_quotient(group)
     neg = minus_identity(n)
     return QuotientSummary(
-        kind=kind,
+        family=family,
         level=level,
         modulus=n,
         group_order=group.order,
@@ -402,9 +377,10 @@ def quotient_summary(kind: str, level: int, modulus: int | None = None,
     )
 
 
-def quotient_summary_crt(kind: str, level: int,
-                         max_modulus: int | None = None) -> QuotientSummary:
-    """The summary `quotient_summary(kind, level)` gives, built by CRT.
+def quotient_summary_crt(family: str, level: int,
+                         max_modulus: int = DEFAULT_MAX_MODULUS
+                         ) -> QuotientSummary:
+    """The summary `quotient_summary(family, level)` gives, built by CRT.
 
     SL2(Z/2N) is the direct product of its components mod 2^(s+1) and
     mod each odd p^e dividing N, and the congruence conditions split the
@@ -417,13 +393,11 @@ def quotient_summary_crt(kind: str, level: int,
     """
     profile = factorize(level)
     two_part = 2 ** profile.s
-    parts = [quotient_summary(kind, two_part, modulus=2 * two_part,
-                              max_modulus=max_modulus)]
-    parts += [quotient_summary(kind, p ** e, modulus=p ** e,
-                               max_modulus=max_modulus)
+    parts = [quotient_summary(family, two_part, 2 * two_part, max_modulus)]
+    parts += [quotient_summary(family, p ** e, p ** e, max_modulus)
               for p, e in profile.odd_factors]
     return QuotientSummary(
-        kind=kind,
+        family=family,
         level=level,
         modulus=2 * level,
         group_order=math.prod(q.group_order for q in parts),

@@ -41,7 +41,9 @@ A lift is recorded by its `SignCharacter` alone: the character's
 generator set names the family and the level, and `lift_generators`
 derives the lift's generators from it (for the full preimage, the
 character with no sign vector, the presentation generators and -I).
-Each level caches one H.  `propagate_witness` keeps the paper's
+Each level caches one H, and its congruence conditions and report, keyed
+on the modulus cap: a plain argument, `engine.DEFAULT_MAX_MODULUS` unless
+the caller passes another.  `propagate_witness` keeps the paper's
 pull-back, the Schreier generators of a smaller group's preimage inside
 a witness, for a cross-check in `verify`.
 """
@@ -53,10 +55,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from . import counting, engine
+from . import engine
 from .matrices import IDENTITY, MINUS_IDENTITY, IntegerMatrix
-from .presentation import DEFAULT_MAX_INDEX, GeneratorSet, _coset_key_fn, \
-    _coset_walk, generator_set, index_formula, proj_member
+from .presentation import GeneratorSet, _coset_key_fn, _coset_walk, \
+    generator_set, index_formula, proj_member
 
 DEFAULT_ENUMERATION_CAP = 512
 
@@ -218,25 +220,25 @@ class LiftDescriptor:
 
 
 def full_image(family: str, level: int,
-               max_modulus: int | None = None) -> engine.ResidueMatrixGroup:
+               max_modulus: int = engine.DEFAULT_MAX_MODULUS
+               ) -> engine.ResidueMatrixGroup:
     """Image H of the full preimage in SL2(Z/2N).
 
     Building H also checks the fact the F2 criterion rests on: the
     presentation generators together with -I reach every element of H.
     """
-    return _full_image_cached(family, level,
-                              engine.effective_max_modulus(max_modulus))
+    return _full_image_cached(family, level, max_modulus)
 
 
-# A level's classification and its audits share one H.  The level caches
-# key on the resolved cap, so every call form hits one entry and a cap
-# lowered later is enforced.
+# A level's classification and its audits share one H.  The public
+# functions pass the cap positionally, so every call form of them hits one
+# entry of each level cache, and a different cap is a different entry.
 @lru_cache(maxsize=1)
 def _full_image_cached(family: str, level: int,
                        max_modulus: int) -> engine.ResidueMatrixGroup:
     n = 2 * level
     group = engine.adjoin_minus_identity(engine.subgroup_by_membership(
-        counting.engine_kind(family), level, n, max_modulus=max_modulus))
+        family, level, n, max_modulus))
     order = engine.subgroup_order(_full_preimage_keys(family, level), group)
     if order != group.order:
         raise AssertionError(
@@ -268,14 +270,15 @@ def _congruence_conditions(family: str, level: int,
                 for (_, sign), (_, kind) in zip(signed, generators.entries)]
     payloads.append(1)
     labels = engine.two_quotient(
-        full_image(family, level, max_modulus=max_modulus)).labels
+        full_image(family, level, max_modulus)).labels
     rows = zip((labels[k] for k in _full_preimage_keys(family, level)),
                payloads)
     return tuple((p >> 1, p & 1) for p in engine.f2_dependencies(rows) if p)
 
 
 def classify_lift(character: SignCharacter,
-                  max_modulus: int | None = None) -> LiftDescriptor:
+                  max_modulus: int = engine.DEFAULT_MAX_MODULUS
+                  ) -> LiftDescriptor:
     """Classify one lift by its level's congruence conditions.
 
     The family and level are those of the character's generators.  The
@@ -283,14 +286,13 @@ def classify_lift(character: SignCharacter,
     proper congruence lift and |H| otherwise, H the full image mod 2N.
     """
     family, level = character.generators.family, character.generators.level
-    cap = engine.effective_max_modulus(max_modulus)
-    order = _full_image_cached(family, level, cap).order
+    order = _full_image_cached(family, level, max_modulus).order
     x = sum(1 << i for i, sign in enumerate(character.free_signs or ())
             if sign == -1)
     if character.is_full_preimage:
         classification, image_order = "congruence", order
     elif all((mask & x).bit_count() % 2 == bit for mask, bit
-             in _congruence_conditions(family, level, cap)):
+             in _congruence_conditions(family, level, max_modulus)):
         classification, image_order = "congruence", order // 2
     else:
         classification, image_order = "noncongruence", order
@@ -354,7 +356,7 @@ def _classify_all_cached(family: str, level: int,
     totals = (family, level, total, congruence, total - congruence)
     if generators.e2 == 0 and 2 ** generators.rank > DEFAULT_ENUMERATION_CAP:
         return ClassificationReport(*totals, "counted")
-    descriptors = tuple(classify_lift(character, max_modulus=max_modulus)
+    descriptors = tuple(classify_lift(character, max_modulus)
                         for character in enumerate_lifts(generators))
     witness = next((d for d in descriptors
                     if d.classification == "noncongruence"), None)
@@ -362,14 +364,15 @@ def _classify_all_cached(family: str, level: int,
 
 
 def classify_all(family: str, level: int,
-                 max_modulus: int | None = None) -> ClassificationReport:
+                 max_modulus: int = engine.DEFAULT_MAX_MODULUS
+                 ) -> ClassificationReport:
     """Count the congruence lifts, and list them while 2^r fits the cap."""
-    return _classify_all_cached(family, level,
-                                engine.effective_max_modulus(max_modulus))
+    return _classify_all_cached(family, level, max_modulus)
 
 
 def find_witness(family: str, level: int,
-                 max_modulus: int | None = None) -> LiftDescriptor:
+                 max_modulus: int = engine.DEFAULT_MAX_MODULUS
+                 ) -> LiftDescriptor:
     """First noncongruence lift in `enumerate_lifts` order, by the conditions.
 
     Read a sign vector as the integer whose bit r-1-i is set when free
@@ -385,7 +388,7 @@ def find_witness(family: str, level: int,
     """
     generators = generator_set(family, level)
     conditions = () if generators.e2 else _congruence_conditions(
-        family, level, engine.effective_max_modulus(max_modulus))
+        family, level, max_modulus)
     signs = [1] * generators.rank
     if not any(bit for _, bit in conditions):
         last = max((mask.bit_length() for mask, _ in conditions), default=0)
@@ -393,8 +396,7 @@ def find_witness(family: str, level: int,
             raise LookupError(
                 f"every lift of {family}({level}) is a congruence group")
         signs[last - 1] = -1
-    return classify_lift(SignCharacter(generators, tuple(signs)),
-                         max_modulus=max_modulus)
+    return classify_lift(SignCharacter(generators, tuple(signs)), max_modulus)
 
 
 def propagate_witness(parent: LiftDescriptor, family: str,
@@ -422,7 +424,7 @@ def propagate_witness(parent: LiftDescriptor, family: str,
         parent.family, parent.level)
     steps = parent.generators
     tree, edges = _coset_walk(
-        _coset_key_fn(family, level), level, steps, DEFAULT_MAX_INDEX,
+        _coset_key_fn(family, level), level, steps,
         f"{family}({level}) in a {parent.family}({parent.level}) lift")
     if len(edges) != subindex:
         raise AssertionError(

@@ -46,10 +46,6 @@ class IntegerMatrix:
     def reduce(self, n: int) -> "ResidueMatrix":
         return reduce(self, n)
 
-    def proj_eq(self, other: "IntegerMatrix") -> bool:
-        """Equality in PSL2(Z), i.e. up to a global sign."""
-        return self == other or self == -other
-
     def __repr__(self) -> str:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 

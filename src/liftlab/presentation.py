@@ -140,8 +140,7 @@ class CosetAction:
         return tuple(self.t_perm[j] for j in self.s_perm)
 
 
-def _coset_walk(key, level: int, steps: tuple[IntegerMatrix, ...],
-                max_index: int, what: str
+def _coset_walk(key, level: int, steps: tuple[IntegerMatrix, ...], what: str
                 ) -> tuple[list[tuple[int, int]], list[list[int]]]:
     """Breadth-first walk of the right cosets reachable from the identity.
 
@@ -153,7 +152,8 @@ def _coset_walk(key, level: int, steps: tuple[IntegerMatrix, ...],
     j was first reached from coset i by steps[k], so the matrices
     reps[0] = I, reps[j] = reps[i] * steps[k] form a transversal.  The
     list of rows grows while it is walked, so cosets are visited in the
-    order they are numbered.
+    order they are numbered.  More than `DEFAULT_MAX_INDEX` cosets
+    raise `IndexBoundExceeded`.
     """
     n = level
     columns = [(m.a % n, m.c % n, m.b % n, m.d % n) for m in steps]
@@ -169,9 +169,9 @@ def _coset_walk(key, level: int, steps: tuple[IntegerMatrix, ...],
             j = index_of.get(label)
             if j is None:
                 j = len(rows)
-                if j >= max_index:
+                if j >= DEFAULT_MAX_INDEX:
                     raise IndexBoundExceeded(
-                        f"coset space of {what} exceeds {max_index}")
+                        f"coset space of {what} exceeds {DEFAULT_MAX_INDEX}")
                 index_of[label] = j
                 rows.append((c2, d2))
                 tree.append((i, k))
@@ -180,13 +180,12 @@ def _coset_walk(key, level: int, steps: tuple[IntegerMatrix, ...],
     return tree, edges
 
 
-def build_coset_action(family: str, level: int,
-                       max_index: int = DEFAULT_MAX_INDEX) -> CosetAction:
+def build_coset_action(family: str, level: int) -> CosetAction:
     """Enumerate the coset space by orbit construction from the identity."""
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
     _, edges = _coset_walk(_coset_key_fn(family, level), level, (S, T),
-                           max_index, f"{family}({level})")
+                           f"{family}({level})")
     s_perm, t_perm = zip(*edges)
     action = CosetAction(family, level, len(edges), s_perm, t_perm)
     _check_action(action)

@@ -48,12 +48,13 @@ class CheckResult:
                 "detail": self.detail, "seconds": round(self.seconds, 3)}
 
 
-def _engine_range(max_n: int, max_modulus: int | None) -> int:
-    return min(max_n, engine.effective_max_modulus(max_modulus) // 2)
+def _engine_range(max_n: int, max_modulus: int) -> int:
+    return min(max_n, max_modulus // 2)
 
 
 def check_count_agreement(max_n: int = 48,
-                          max_modulus: int | None = None) -> tuple[bool, str]:
+                          max_modulus: int = engine.DEFAULT_MAX_MODULUS
+                          ) -> tuple[bool, str]:
     """Formula and engine congruence-lift counts agree on every level."""
     top = _engine_range(max_n, max_modulus)
     bad = []
@@ -78,7 +79,8 @@ def check_count_agreement(max_n: int = 48,
 
 
 def check_quotient_structure(max_n: int = 48,
-                             max_modulus: int | None = None) -> tuple[bool, str]:
+                             max_modulus: int = engine.DEFAULT_MAX_MODULUS
+                             ) -> tuple[bool, str]:
     """dim2 and the -I membership flags match the closed descriptions.
 
     Each direct summary mod 2N is also the oracle for the CRT route the
@@ -101,14 +103,14 @@ def check_quotient_structure(max_n: int = 48,
         q1 = engine.quotient_summary("gamma1", n, max_modulus=max_modulus)
         if q1.dim2 != min(2, s + 1):
             bad.append(("gamma1 dim2", n, q1.dim2))
-        qf = engine.quotient_summary("gamma_full", n, max_modulus=max_modulus)
+        qf = engine.quotient_summary("gamma", n, max_modulus=max_modulus)
         if qf.dim2 != (1 if s == 0 else 3):
             bad.append(("gamma dim2", n, qf.dim2))
         for direct in (q0, q1, qf):
-            split = engine.quotient_summary_crt(direct.kind, n,
+            split = engine.quotient_summary_crt(direct.family, n,
                                                 max_modulus=max_modulus)
             if split != direct:
-                bad.append(("crt summary", direct.kind, n, split))
+                bad.append(("crt summary", direct.family, n, split))
     if bad:
         return False, f"structure mismatches: {bad[:8]}"
     return True, (f"dim2 and -I flags match for N <= {top}, all three "
@@ -120,7 +122,8 @@ _TABLE_RANK = {4: 2, 6: 3, 8: 3, 9: 3, 16: 5}
 
 
 def check_small_level_table(max_n: int = 16,
-                            max_modulus: int | None = None) -> tuple[bool, str]:
+                            max_modulus: int = engine.DEFAULT_MAX_MODULUS
+                            ) -> tuple[bool, str]:
     """The five small torsion-free levels and their classification split."""
     bad = []
     levels = [n for n in (4, 6, 8, 9, 16) if n <= max_n]
@@ -141,7 +144,8 @@ def check_small_level_table(max_n: int = 16,
 
 
 def check_gamma1_census(max_n: int = 5, seed_tamper: bool = False,
-                        max_modulus: int | None = None) -> tuple[bool, str]:
+                        max_modulus: int = engine.DEFAULT_MAX_MODULUS
+                        ) -> tuple[bool, str]:
     """Lift censuses at levels 4 and 5, plus witness re-verification."""
     bad = []
     done = []
@@ -180,9 +184,9 @@ def check_gamma1_census(max_n: int = 5, seed_tamper: bool = False,
     return True, "lift censuses confirmed: " + ", ".join(done)
 
 
-def check_classification_vs_predicates(max_n: int = 48,
-                                       max_modulus: int | None = None,
-                                       ) -> tuple[bool, str]:
+def check_classification_vs_predicates(
+        max_n: int = 48, max_modulus: int = engine.DEFAULT_MAX_MODULUS
+        ) -> tuple[bool, str]:
     """The closed-form predicates and counts against the F2 lift census.
 
     Every report, counted ones included, takes its totals from the
@@ -271,13 +275,14 @@ def _group_invariants(group: engine.ResidueMatrixGroup,
 
 
 def check_property_suite(max_n: int = 24,
-                         max_modulus: int | None = None) -> tuple[bool, str]:
+                         max_modulus: int = engine.DEFAULT_MAX_MODULUS
+                         ) -> tuple[bool, str]:
     """Structural invariants: engine, Farey symbols, certificates."""
     rng = random.Random(RNG_SEED)
     bad = []
 
     for kind, level in (("gamma0", 6), ("gamma0", 12), ("gamma1", 5),
-                        ("gamma_full", 2), ("full", 1)):
+                        ("gamma", 2), ("gamma0", 1)):
         group = engine.subgroup_by_membership(kind, level, 2 * level,
                                               max_modulus=max_modulus)
         bad.extend(_group_invariants(group, rng))
@@ -394,7 +399,8 @@ def _is_int(x) -> bool:
 
 
 def verify_witness_data(data: dict,
-                        max_modulus: int | None = None) -> tuple[bool, str]:
+                        max_modulus: int = engine.DEFAULT_MAX_MODULUS
+                        ) -> tuple[bool, str]:
     """Re-validate an exported lift dict from first principles.
 
     The recorded generators must be the ones the character regenerates
@@ -458,7 +464,8 @@ CHECKS = (
 
 
 def run_suite(max_n: int = 24, seed_tamper: bool = False,
-              max_modulus: int | None = None) -> list[CheckResult]:
+              max_modulus: int = engine.DEFAULT_MAX_MODULUS
+              ) -> list[CheckResult]:
     """Run every check, scaled down to levels <= max_n where applicable."""
     results = []
     for name, fn in CHECKS:

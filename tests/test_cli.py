@@ -97,7 +97,6 @@ def test_engine_cap_message_names_the_cap_options(capsys):
     assert err.startswith("error: modulus 194 exceeds the engine cap 96")
     assert len(err.splitlines()) == 1
     assert "--max-modulus" in err and "max_modulus=" in err
-    assert "LIFTLAB_MAX_MODULUS" in err
     assert "formula" not in err
 
 
@@ -106,7 +105,7 @@ def test_count_engine_cap_message_suggests_the_formula_mode(capsys):
                          "gamma0", "--n", "97")
     assert code == 1 and out == ""
     assert err.startswith("error: modulus 97 exceeds the engine cap 96")
-    assert "--max-modulus" in err and "LIFTLAB_MAX_MODULUS" in err
+    assert "--max-modulus" in err
     assert "--mode formula" in err
     assert len(err.splitlines()) == 1
 
@@ -257,6 +256,16 @@ def test_presentation_table(capsys):
     assert code == 0
     assert out.splitlines()[0] == "gamma0(6): index 12, e2 0, e3 0, r 3"
     assert sum(1 for line in out.splitlines() if line.startswith("  ")) == 3
+
+
+def test_presentation_takes_no_modulus_cap(capsys):
+    # presentation runs no engine, so a cap would be an option it ignores.
+    with pytest.raises(SystemExit) as info:
+        cli.main(["presentation", "--group", "gamma1", "--n", "49",
+                  "--max-modulus", "98"])
+    assert info.value.code == 1
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: --max-modulus 98" in err
 
 
 def test_verify_subset_passes(capsys):

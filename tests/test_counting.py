@@ -66,8 +66,7 @@ def test_engine_report_matches_the_adjoined_group():
                           ("gamma", 6), ("gamma", 10), ("gamma0", 12)):
         report = counting.count_congruence_lifts_engine(family, level)
         n = 2 * level
-        group = engine.subgroup_by_membership(
-            counting.engine_kind(family), level, n)
+        group = engine.subgroup_by_membership(family, level, n)
         neg = engine.minus_identity(n)
         in_group = neg in group.elements
         quotient = engine.two_quotient(
@@ -84,8 +83,8 @@ def test_engine_report_equals_the_direct_route(monkeypatch):
     by_crt = [counting.count_congruence_lifts_engine(*fl).to_dict()
               for fl in levels]
     monkeypatch.setattr(engine, "quotient_summary_crt",
-                        lambda kind, level, max_modulus=None:
-                        engine.quotient_summary(kind, level,
+                        lambda family, level, max_modulus:
+                        engine.quotient_summary(family, level,
                                                 max_modulus=max_modulus))
     direct = [counting.count_congruence_lifts_engine(*fl).to_dict()
               for fl in levels]

@@ -17,8 +17,6 @@ def brute_sl2(n):
 def brute_subgroup(kind, level, n):
     def keep(m):
         a, b, c, d = m
-        if kind == "full":
-            return True
         if c % level != 0:
             return False
         if kind == "gamma0":
@@ -31,14 +29,9 @@ def brute_subgroup(kind, level, n):
     return {m for m in brute_sl2(n) if keep(m)}
 
 
-def test_sl2_order_formula():
-    for n in range(1, 13):
-        assert engine.sl2_order(n) == len(brute_sl2(n))
-
-
 def test_subgroup_by_membership_matches_filter():
     cases = [("gamma0", 2, 4), ("gamma0", 3, 6), ("gamma1", 3, 6),
-             ("gamma1", 2, 4), ("gamma_full", 2, 4), ("full", 1, 6),
+             ("gamma1", 2, 4), ("gamma", 2, 4), ("gamma0", 1, 6),
              ("gamma0", 4, 8)]
     for kind, level, n in cases:
         got = engine.subgroup_by_membership(kind, level, n)
@@ -46,7 +39,7 @@ def test_subgroup_by_membership_matches_filter():
 
 
 def test_gamma_full_2_mod_4_order_is_8():
-    group = engine.subgroup_by_membership("gamma_full", 2, 4)
+    group = engine.subgroup_by_membership("gamma", 2, 4)
     assert group.order == 8
 
 
@@ -55,7 +48,7 @@ def test_closure_of_translations():
     group = engine.closure([t], 12)
     assert group.order == 12
     full = engine.closure([t, (0, -1, 1, 0)], 5)
-    assert full.order == engine.sl2_order(5)
+    assert full.order == len(brute_sl2(5))
 
 
 def test_closure_rejects_bad_determinant():
@@ -89,7 +82,7 @@ def test_subgroup_order_agrees_with_closure():
     rng = random.Random(17)
     step = [(1, 1, 0, 1), (0, -1, 1, 0), (1, 0, 1, 1), (1, 2, 0, 1)]
     for n in (2, 5, 8, 12):
-        whole = engine.subgroup_by_membership("full", 1, n)
+        whole = engine.subgroup_by_membership("gamma0", 1, n)
         everything = sorted(whole.elements)
         cases = [[], [engine.identity(n)], [(1, 1, 0, 1), (0, -1, 1, 0)]]
         cases += [[rng.choice(step) for _ in range(rng.randrange(1, 3))]
@@ -107,7 +100,7 @@ def test_subgroup_order_completes_an_index_two_subgroup():
     # The elements of one two-quotient coordinate 0 form a subgroup of
     # index 2, exactly |group|/2 elements: the BFS must not stop there.
     rng = random.Random(19)
-    for kind, level in (("gamma0", 6), ("gamma1", 4), ("full", 1)):
+    for kind, level in (("gamma0", 6), ("gamma1", 4), ("gamma0", 1)):
         group = engine.subgroup_by_membership(kind, level, 2 * level)
         labels = engine.two_quotient(group).labels
         half = sorted(x for x in group.elements if not labels[x] & 1)
@@ -170,7 +163,7 @@ def test_adjoin_minus_identity():
 
 def test_squares_subgroup_properties():
     rng = random.Random(13)
-    for kind, level in (("gamma0", 6), ("gamma1", 4), ("gamma_full", 2)):
+    for kind, level in (("gamma0", 6), ("gamma1", 4), ("gamma", 2)):
         group = engine.subgroup_by_membership(kind, level, 2 * level)
         squares = engine.squares_subgroup(group)
         quot, rem = divmod(group.order, squares.order)
@@ -208,13 +201,13 @@ def test_quotient_summary_values():
     q7 = engine.quotient_summary("gamma0", 7)
     assert (q7.dim2, q7.minus_one_in_group, q7.minus_one_in_squares) == (
         2, True, False)
-    qf = engine.quotient_summary("gamma_full", 2)
+    qf = engine.quotient_summary("gamma", 2)
     assert (qf.group_order, qf.dim2) == (8, 3)
     assert qf.minus_one_in_group and not qf.minus_one_in_squares
 
 
 def test_quotient_summary_crt_matches_direct():
-    for kind in ("gamma0", "gamma1", "gamma_full"):
+    for kind in ("gamma0", "gamma1", "gamma"):
         for n in range(1, 25):
             direct = engine.quotient_summary(kind, n)
             assert engine.quotient_summary_crt(kind, n) == direct, (kind, n)
@@ -226,13 +219,6 @@ def test_modulus_cap():
     # explicit override wins over the default cap
     group = engine.subgroup_by_membership("gamma0", 60, 120, max_modulus=120)
     assert group.modulus == 120
-
-
-def test_modulus_cap_env_override(monkeypatch):
-    monkeypatch.setenv("LIFTLAB_MAX_MODULUS", "4")
-    assert engine.max_modulus_default() == 4
-    with pytest.raises(engine.ModulusCapExceeded):
-        engine.subgroup_by_membership("gamma0", 3, 6)
 
 
 def test_unknown_kind():

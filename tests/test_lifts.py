@@ -340,8 +340,6 @@ def test_certificates_survive_independent_closure():
 def test_classify_all_checks_the_cap_before_the_symbol(monkeypatch):
     # Past the cap classify_all must fail before it grows the Farey symbol
     # of gamma1(600), index 115200.
-    monkeypatch.delenv("LIFTLAB_MAX_MODULUS", raising=False)
-
     def no_symbol(family, level):
         raise AssertionError(f"grew the symbol of {family}({level})")
 
@@ -350,8 +348,7 @@ def test_classify_all_checks_the_cap_before_the_symbol(monkeypatch):
         classify_all("gamma1", 600)
 
 
-def test_level_caches_key_on_the_resolved_cap(monkeypatch):
-    monkeypatch.delenv("LIFTLAB_MAX_MODULUS", raising=False)
+def test_level_caches_key_on_the_resolved_cap():
     caches = (lifts._full_image_cached, lifts._congruence_conditions,
               lifts._classify_all_cached)
     for cache in caches:
@@ -361,13 +358,22 @@ def test_level_caches_key_on_the_resolved_cap(monkeypatch):
     classify_all("gamma0", 12)
     misses = [cache.cache_info().misses for cache in caches]
     # Every call form names the same entry: each lookup below is a hit.
-    full_image("gamma0", 12, max_modulus=None)
-    full_image("gamma0", 12, engine.DEFAULT_MAX_MODULUS)
-    find_witness("gamma0", 12, max_modulus=None)
-    classify_all("gamma0", 12, max_modulus=engine.DEFAULT_MAX_MODULUS)
+    cap = engine.DEFAULT_MAX_MODULUS
+    for call in (full_image, find_witness, classify_all):
+        call("gamma0", 12)
+        call("gamma0", 12, cap)
+        call("gamma0", 12, max_modulus=cap)
     assert [cache.cache_info().misses for cache in caches] == misses
-    # A cap lowered afterwards is enforced, not answered from the cache.
-    monkeypatch.setenv("LIFTLAB_MAX_MODULUS", "4")
+    # A lower cap is enforced, not answered from the cached level.
     for call in (full_image, find_witness, classify_all):
         with pytest.raises(engine.ModulusCapExceeded):
-            call("gamma0", 12)
+            call("gamma0", 12, max_modulus=4)
+
+
+def test_environment_sets_no_cap(monkeypatch):
+    # The cap is an argument only: no environment variable lowers it.
+    monkeypatch.setenv("LIFTLAB_MAX_MODULUS", "4")
+    lifts._full_image_cached.cache_clear()
+    lifts._classify_all_cached.cache_clear()
+    assert full_image("gamma0", 12).order == 384
+    assert classify_all("gamma0", 12).total == 33

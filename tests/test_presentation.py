@@ -181,8 +181,7 @@ def test_generators_generate_the_reduction():
         keys = [m.reduce(n).key() for m in gens.matrices()]
         keys.append(engine.minus_identity(n))
         got = engine.closure(keys, n)
-        kind = "gamma_full" if family == "gamma" else family
-        want = engine.subgroup_by_membership(kind, n, n)
+        want = engine.subgroup_by_membership(family, n, n)
         want = engine.adjoin_minus_identity(want)
         assert got.elements == want.elements
 
@@ -238,9 +237,10 @@ def test_cosets_are_numbered_breadth_first():
         assert dist[-1] > 2
 
 
-def test_index_bound():
+def test_index_bound(monkeypatch):
+    monkeypatch.setattr(presentation, "DEFAULT_MAX_INDEX", 5)
     with pytest.raises(IndexBoundExceeded):
-        build_coset_action("gamma0", 6, max_index=5)
+        build_coset_action("gamma0", 6)
 
 
 def scan_farey_symbol(family, level):
@@ -287,7 +287,8 @@ def scan_farey_symbol(family, level):
                 continue
             g = IntegerMatrix(*presentation._free_entries(
                 (x, y), (fractions[j], fractions[j + 1])))
-            if abs(g.trace) < 2 or g.proj_eq(IDENTITY):
+            if abs(g.trace) < 2 or g.entries() in ((1, 0, 0, 1),
+                                                   (-1, 0, 0, -1)):
                 continue
             if usable(g):
                 labels[i] = labels[j] = next_pair_id
@@ -344,8 +345,7 @@ def test_gamma0_key_partitions_like_the_unit_orbits():
 def walk_tree(n):
     """Tree and edges of the gamma0(n) coset walk under the current key."""
     return presentation._coset_walk(
-        presentation._coset_key_fn("gamma0", n), n, (S, T),
-        presentation.DEFAULT_MAX_INDEX, f"gamma0({n})")
+        presentation._coset_key_fn("gamma0", n), n, (S, T), f"gamma0({n})")
 
 
 def test_coset_representatives_unchanged_by_the_gamma0_key(monkeypatch):
@@ -387,8 +387,7 @@ def test_row_walk_matches_the_matrix_walk():
     for family, n in cases:
         key = presentation._coset_key_fn(family, n)
         reps, edges = matrix_coset_walk(key, (S, T))
-        tree, got = presentation._coset_walk(
-            key, n, (S, T), presentation.DEFAULT_MAX_INDEX, family)
+        tree, got = presentation._coset_walk(key, n, (S, T), family)
         assert got == edges, (family, n)
         rebuilt = [IDENTITY]
         for i, k in tree:
