@@ -18,8 +18,8 @@ import sys
 
 from . import counting, engine, verify
 from .matrices import factorize
-from .presentation import (FAMILIES as PRESENTATION_FAMILIES,
-                           IndexBoundExceeded, farey_symbol, generator_set)
+from .presentation import (FAMILIES as PRESENTATION_FAMILIES, farey_symbol,
+                           generator_set)
 from .lifts import classify_all, find_witness
 
 EXIT_OK = 0
@@ -304,13 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (engine.ModulusCapExceeded, IndexBoundExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

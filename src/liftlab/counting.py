@@ -143,37 +143,18 @@ def count_congruence_lifts_engine(family: str, level: int,
     )
 
 
-def count_codim1_avoiding(p: int, d: int, via: str = "formula") -> int:
+def count_codim1_avoiding(p: int, d: int) -> int:
     """Number of codimension-1 subspaces of F_p^d avoiding a fixed v != 0.
 
-    The answer p^(d-1) does not depend on v.  The brute-force route
-    enumerates hyperplanes as kernels of functionals normalized to have
-    first nonzero coordinate 1, with v = e1; it is capped at p^d <= 2^16.
+    The answer p^(d-1) does not depend on v; `verify` checks it against
+    an enumeration of hyperplanes.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     # an odd prime factors as p^1
     if p != 2 and (p < 2 or factorize(p).odd_factors != ((p, 1),)):
         raise ValueError(f"p must be prime, got {p}")
-    if via == "formula":
-        return p ** (d - 1)
-    if via != "brute_force":
-        raise ValueError(f"via must be 'formula' or 'brute_force', got {via!r}")
-    if p ** d > 2 ** 16:
-        raise ValueError(f"p^d = {p ** d} too large for enumeration")
-    count = 0
-    for index in range(p ** d):
-        phi = []
-        rest = index
-        for _ in range(d):
-            phi.append(rest % p)
-            rest //= p
-        nonzero = [i for i, x in enumerate(phi) if x]
-        if not nonzero or phi[nonzero[0]] != 1:
-            continue  # not the normalized representative of its scalar class
-        if phi[0] % p != 0:  # phi(e1) != 0, so the kernel avoids e1
-            count += 1
-    return count
+    return p ** (d - 1)
 
 
 def _all_lifts_congruence(family: str, level: int) -> bool:

@@ -23,11 +23,11 @@ where the labels of the rows of the odd generators (forced sign bits),
 -I (bit 1) and the free generators (unknown sign bits) cancel, they
 leave the level's cached congruence conditions, pairs (mask, bit) that a
 congruence lift's sign vector meets with parity.  They classify each
-lift, count the lifts (`classify_all`; "counted" without descriptors once
-2^r > 512) and name the witness (`find_witness`).  This needs the
-presentation generators together with -I to generate H, which one
-closure per H checks; it stops once it holds more than |H|/2 elements,
-which by Lagrange's theorem already means all of H.
+lift, name the first noncongruence lift (`find_witness`) and count the
+lifts (`classify_all`, whose report carries that witness at every
+level).  This needs the presentation generators together with -I to
+generate H, which one closure per H checks; it stops once it holds more
+than |H|/2 elements, which by Lagrange's theorem already means all of H.
 
 Since [Gtilde : L] = 2, the image of L mod 2N is either all of H or a
 subgroup of index 2, and the latter happens exactly for a congruence
@@ -302,11 +302,14 @@ def classify_lift(character: SignCharacter,
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Lift totals for one (family, level), and per-lift detail if enumerated.
+    """Lift totals and a noncongruence witness for one (family, level).
 
-    The totals come from the congruence conditions.  mode is "enumerated"
-    when every lift also has a descriptor, or "counted" when 2^r exceeds
-    the enumeration cap and only the totals are kept.
+    The totals come from the congruence conditions and the witness from
+    `find_witness`; it is None exactly when every lift is congruence.
+    `mode` and `descriptors` are kept only for the benchmark, whose
+    classify oracle and trace read them (ROADMAP items 1 and 2): mode is
+    "enumerated" when every lift also has a descriptor, or "counted" when
+    2^r exceeds the enumeration cap.  Neither is in `to_dict`.
     """
 
     family: str
@@ -329,7 +332,6 @@ class ClassificationReport:
             "total_lifts": self.total,
             "congruence": self.congruence,
             "noncongruence": self.noncongruence,
-            "mode": self.mode,
             "witness": None if self.witness is None else self.witness.to_dict(),
         }
 
@@ -353,20 +355,21 @@ def _classify_all_cached(family: str, level: int,
         if not any(dependent):
             congruence += 2 ** (generators.rank - len(conditions)
                                 + len(dependent))
+    # find_witness raises LookupError exactly when every lift is congruence.
+    witness = (find_witness(family, level, max_modulus)
+               if congruence < total else None)
     totals = (family, level, total, congruence, total - congruence)
     if generators.e2 == 0 and 2 ** generators.rank > DEFAULT_ENUMERATION_CAP:
-        return ClassificationReport(*totals, "counted")
+        return ClassificationReport(*totals, "counted", witness=witness)
     descriptors = tuple(classify_lift(character, max_modulus)
                         for character in enumerate_lifts(generators))
-    witness = next((d for d in descriptors
-                    if d.classification == "noncongruence"), None)
     return ClassificationReport(*totals, "enumerated", descriptors, witness)
 
 
 def classify_all(family: str, level: int,
                  max_modulus: int = engine.DEFAULT_MAX_MODULUS
                  ) -> ClassificationReport:
-    """Count the congruence lifts, and list them while 2^r fits the cap."""
+    """Count the congruence lifts and name the first noncongruence one."""
     return _classify_all_cached(family, level, max_modulus)
 
 

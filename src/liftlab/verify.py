@@ -21,6 +21,7 @@ rejected.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -190,7 +191,8 @@ def check_classification_vs_predicates(
     """The closed-form predicates and counts against the F2 lift census.
 
     Every report, counted ones included, takes its totals from the
-    congruence conditions, a route sharing no code with the closed form.
+    congruence conditions, a route sharing no code with the closed form,
+    and carries a witness exactly when some lift is noncongruence.
     """
     top = _engine_range(max_n, max_modulus)
     predicates = {"gamma0": counting.all_lifts_congruence_gamma0,
@@ -203,7 +205,8 @@ def check_classification_vs_predicates(
             counted += report.mode == "counted"
             formula = counting.count_congruence_lifts_formula(family, n).count
             if (report.congruence != formula
-                    or report.all_congruence != predicate(n)):
+                    or report.all_congruence != predicate(n)
+                    or (report.witness is None) != report.all_congruence):
                 bad.append((family, n, report.total, report.congruence,
                             report.noncongruence, report.mode, formula))
     if bad:
@@ -213,13 +216,27 @@ def check_classification_vs_predicates(
                   f"at all {2 * top} levels N <= {top} ({counted} counted)")
 
 
+def _hyperplanes_avoiding_e1(p: int, d: int) -> int:
+    """Hyperplanes of F_p^d avoiding e1, enumerated as kernels.
+
+    Each hyperplane is the kernel of exactly one functional whose first
+    nonzero coordinate is 1, and it avoids e1 when phi(e1) != 0.
+    """
+    count = 0
+    for phi in itertools.product(range(p), repeat=d):
+        nonzero = [x for x in phi if x]
+        if nonzero and nonzero[0] == 1 and phi[0]:
+            count += 1
+    return count
+
+
 def check_hyperplane_counts() -> tuple[bool, str]:
     """p^(d-1) versus brute-force hyperplane enumeration."""
     bad = []
     for p in (2, 3, 5):
         for d in range(1, 5):
-            a = counting.count_codim1_avoiding(p, d, via="formula")
-            b = counting.count_codim1_avoiding(p, d, via="brute_force")
+            a = counting.count_codim1_avoiding(p, d)
+            b = _hyperplanes_avoiding_e1(p, d)
             if a != b:
                 bad.append((p, d, a, b))
     if bad:

@@ -138,12 +138,10 @@ def brute_hyperplanes_avoiding(p, d):
 def test_codim1_counts():
     assert counting.count_codim1_avoiding(2, 1) == 1
     assert counting.count_codim1_avoiding(2, 3) == 4
-    assert counting.count_codim1_avoiding(3, 2, via="brute_force") == 3
     for p in (2, 3, 5):
         for d in range(1, 5):
-            formula = counting.count_codim1_avoiding(p, d)
-            brute = counting.count_codim1_avoiding(p, d, via="brute_force")
-            assert formula == brute == brute_hyperplanes_avoiding(p, d)
+            assert counting.count_codim1_avoiding(p, d) == \
+                brute_hyperplanes_avoiding(p, d)
 
 
 def test_codim1_rejections():
@@ -152,10 +150,6 @@ def test_codim1_rejections():
             counting.count_codim1_avoiding(composite, 2)
     with pytest.raises(ValueError):
         counting.count_codim1_avoiding(2, 0)
-    with pytest.raises(ValueError):
-        counting.count_codim1_avoiding(2, 17, via="brute_force")
-    with pytest.raises(ValueError):
-        counting.count_codim1_avoiding(3, 2, via="magic")
 
 
 def test_all_congruence_predicates():

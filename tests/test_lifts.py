@@ -178,8 +178,8 @@ def test_counted_mode_for_large_rank():
     report = classify_all("gamma0", 30)
     assert (report.total, report.congruence,
             report.noncongruence) == (8193, 9, 8184)
-    assert report.mode == "counted"
-    assert report.descriptors is None and report.witness is None
+    assert report.mode == "counted" and report.descriptors is None
+    assert report.witness == find_witness("gamma0", 30)
 
 
 def test_census_does_not_read_the_closed_form(monkeypatch):
@@ -254,24 +254,43 @@ def test_find_witness_at_counted_level():
 
 
 def test_find_witness_is_the_first_noncongruence_lift():
+    # The descriptors, one parity check per lift, are the oracle for the
+    # F2 solve; report.witness comes from the solve itself.
     levels = [("gamma0", n) for n in range(1, 49)] + [
         ("gamma1", n) for n in range(1, 25)]
-    counted = 0
+    enumerated = 0
     for family, n in levels:
         report = classify_all(family, n)
-        if report.mode == "enumerated":
-            if report.all_congruence:
-                with pytest.raises(LookupError):
-                    find_witness(family, n)
-            else:
-                assert find_witness(family, n).to_dict() == \
-                    report.witness.to_dict(), (family, n)
+        if report.mode != "enumerated":
             continue
-        counted += 1
-        data = json.loads(json.dumps(find_witness(family, n).to_dict()))
-        ok, message = verify.verify_witness_data(data)
-        assert ok, (family, n, message)
-    assert counted == 22
+        enumerated += 1
+        first = next((d for d in report.descriptors
+                      if d.classification == "noncongruence"), None)
+        if first is None:
+            with pytest.raises(LookupError):
+                find_witness(family, n)
+        else:
+            assert find_witness(family, n).to_dict() == first.to_dict(), \
+                (family, n)
+    assert enumerated == 50
+
+
+def test_every_report_carries_the_solved_witness():
+    counted = 0
+    for family in ("gamma0", "gamma1"):
+        for n in range(1, 49):
+            report = classify_all(family, n)
+            if report.noncongruence == 0:
+                assert report.witness is None, (family, n)
+                continue
+            assert report.witness.to_dict() == \
+                find_witness(family, n).to_dict(), (family, n)
+            if report.mode == "counted":
+                counted += 1
+                data = json.loads(json.dumps(report.witness.to_dict()))
+                ok, message = verify.verify_witness_data(data)
+                assert ok, (family, n, message)
+    assert counted == 46
 
 
 def test_propagate_witness_to_subfamilies():
@@ -318,7 +337,6 @@ def test_report_to_dict():
     data = report.to_dict()
     assert data == {"kind": "gamma0", "N": 9, "total_lifts": 9,
                     "congruence": 3, "noncongruence": 6,
-                    "mode": "enumerated",
                     "witness": report.witness.to_dict()}
 
 
