@@ -146,7 +146,7 @@ def cmd_classify(args) -> int:
     rows = []
     payload = []
     for n in levels:
-        report = classify_all(args.group, n, max_modulus=args.max_modulus)
+        report = classify_all(args.group, n)
         gens = generator_set(args.group, n)
         profile = factorize(n)
         rows.append([args.group, n, profile.s, profile.t, gens.index,
@@ -176,8 +176,7 @@ def cmd_witness(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        descriptor = find_witness(args.group, levels[0],
-                                  max_modulus=args.max_modulus)
+        descriptor = find_witness(args.group, levels[0])
     except LookupError as exc:
         print(f"no witness: {exc}", file=sys.stderr)
         return EXIT_MISSING
@@ -266,14 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify every lift of a level")
     add_common(p)
-    add_cap(p)
     p.add_argument("--format", choices=("table", "json", "csv"),
                    default="table")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("witness", help="export one noncongruence lift")
     add_common(p)
-    add_cap(p)
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("presentation", help="Farey-symbol generators")

@@ -16,36 +16,57 @@ A lift L is a congruence group exactly when it contains the principal
 congruence subgroup of level 2N (N the level of the projective group),
 that is, exactly when its sign character factors through the image H of
 the full preimage in SL2(Z/2N).  The character takes values +1 and -1,
-so it factors through H exactly when it factors through the two-quotient
-H/H'H^2, an F2 vector space whose coordinates `engine.two_quotient`
-assigns to every element.  One elimination per level decides all lifts:
-where the labels of the rows of the odd generators (forced sign bits),
--I (bit 1) and the free generators (unknown sign bits) cancel, they
-leave the level's cached congruence conditions, pairs (mask, bit) that a
-congruence lift's sign vector meets with parity.  They classify each
-lift, name the first noncongruence lift (`find_witness`) and count the
-lifts (`classify_all`, whose report carries that witness at every
-level).  This needs the presentation generators together with -I to
-generate H, which one closure per H checks; it stops once it holds more
-than |H|/2 elements, which by Lagrange's theorem already means all of H.
+so it factors through H exactly when it is a homomorphism H -> F2 read
+through the generators, and Hom(H, F2) has a basis of characters read off
+a matrix's entries (`_characters`).  With N = 2^s * m, m odd, t the number
+of odd primes dividing N and g = [[a, b], [c, d]]:
+
+* s = 0: the sign of g mod 2 in SL2(Z/2), which is S3;
+* s >= 1: b mod 2 and c/2^s mod 2, that is bit s of c;
+* gamma0 only: chi_-4(d) when s >= 2, chi_8(d) when s >= 3, and the
+  Legendre symbol (d/p) for each odd prime p dividing N;
+* gamma1 with N >= 3: whether a = -1 mod N (-I lies outside the image of
+  Gamma1(N), so H is that image times <-I>).
+
+Each is a homomorphism on H by congruence algebra: with c = 0 mod 2^s (and
+mod p), d is multiplicative mod 4, 8 and p, and b mod 2 and c/2^s mod 2 are
+additive.  There are min(4, s+1) + t of them for gamma0 and min(2, s+1)
+for gamma1, plus 1 when N >= 3, which is dim2 H = dim H/H'H^2 by the closed
+form the paper proves (`verify` checks it as `quotient-structure`).  So
+they are a basis of Hom(H, F2) once their labels on the presentation
+generators and -I, which generate H, reach rank dim2 H; one elimination
+asserts that, and no element of H is enumerated.
+
+The same elimination decides all lifts: where the labels of the rows of
+the odd generators (forced sign bits), -I (bit 1) and the free generators
+(unknown sign bits) cancel, they leave the level's cached congruence
+conditions, pairs (mask, bit) that a congruence lift's sign vector meets
+with parity.  They classify each lift, name the first noncongruence lift
+(`find_witness`) and count the lifts (`classify_all`, whose report
+carries that witness at every level).  They depend on the labels only
+through their kernel, so any basis of Hom(H, F2) gives the same verdicts,
+counts and witness.
 
 Since [Gtilde : L] = 2, the image of L mod 2N is either all of H or a
 subgroup of index 2, and the latter happens exactly for a congruence
 lift; the certificate records the image order derived from the verdict
-(|H|/2 or |H|).  `verify.verify_witness_data` is the one audit of these
-orders: it recomputes them by a closure in H of the kernel's generators
-(`engine.subgroup_order`), which stops once it holds more than |H|/2
-elements and so completes only for an image of index 2.
+(|H|/2 or |H|).  |H| itself needs no enumeration: the kernel Gamma(2N) of
+reduction mod 2N lies in the full preimage, so |H| is |SL2(Z/2N)| over
+the index (`full_image_order`).  `verify.verify_witness_data` is the one
+audit of these orders: it recomputes them by a closure in H of the
+kernel's generators (`engine.subgroup_order`), which stops once it holds
+more than |H|/2 elements and so completes only for an image of index 2.
 
 A lift is recorded by its `SignCharacter` alone: the character's
 generator set names the family and the level, and `lift_generators`
 derives the lift's generators from it (for the full preimage, the
 character with no sign vector, the presentation generators and -I).
-Each level caches one H, and its congruence conditions and report, keyed
-on the modulus cap: a plain argument, `engine.DEFAULT_MAX_MODULUS` unless
-the caller passes another.  `propagate_witness` keeps the paper's
-pull-back, the Schreier generators of a smaller group's preimage inside
-a witness, for a cross-check in `verify`.
+Each level caches its congruence conditions and report.  Only
+`full_image`, H enumerated mod 2N, takes the modulus cap: no command path
+builds it, and `verify` keeps it as the oracle for the characters and the
+audits.  `propagate_witness` keeps the paper's pull-back, the Schreier
+generators of a smaller group's preimage inside a witness, for a
+cross-check in `verify`.
 """
 
 from __future__ import annotations
@@ -53,12 +74,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import engine
-from .matrices import IDENTITY, MINUS_IDENTITY, IntegerMatrix
-from .presentation import GeneratorSet, _coset_key_fn, _coset_walk, \
-    generator_set, index_formula, proj_member
+from .matrices import IDENTITY, MINUS_IDENTITY, IntegerMatrix, factorize
+from .presentation import GeneratorSet, _check_index, _coset_key_fn, \
+    _coset_walk, generator_set, index_formula, proj_member
 
 DEFAULT_ENUMERATION_CAP = 512
 
@@ -219,49 +240,74 @@ class LiftDescriptor:
         }
 
 
+def full_image_order(family: str, level: int) -> int:
+    """|H| = |SL2(Z/2N)| / [PSL2(Z) : Gamma], as H contains Gamma(2N)."""
+    n = 2 * level
+    order = n ** 3
+    for p in (2,) + factorize(level).odd_primes():
+        order = order // (p * p) * (p * p - 1)
+    return order // index_formula(family, level)
+
+
 def full_image(family: str, level: int,
                max_modulus: int = engine.DEFAULT_MAX_MODULUS
                ) -> engine.ResidueMatrixGroup:
-    """Image H of the full preimage in SL2(Z/2N).
+    """Image H of the full preimage in SL2(Z/2N), enumerated.
 
-    Building H also checks the fact the F2 criterion rests on: the
-    presentation generators together with -I reach every element of H.
+    No command path needs it: the characters label the generators and
+    `full_image_order` gives |H|.  It is `verify`'s oracle for both, and
+    the ambient group of the certificate audit, so it is the one level
+    computation the modulus cap bounds.
     """
     return _full_image_cached(family, level, max_modulus)
 
 
-# A level's classification and its audits share one H.  The public
-# functions pass the cap positionally, so every call form of them hits one
-# entry of each level cache, and a different cap is a different entry.
+# The public function passes the cap positionally, so every call form of
+# it hits one entry, and a different cap is a different entry.
 @lru_cache(maxsize=1)
 def _full_image_cached(family: str, level: int,
                        max_modulus: int) -> engine.ResidueMatrixGroup:
-    n = 2 * level
-    group = engine.adjoin_minus_identity(engine.subgroup_by_membership(
-        family, level, n, max_modulus))
-    order = engine.subgroup_order(_full_preimage_keys(family, level), group)
-    if order != group.order:
-        raise AssertionError(
-            f"presentation generators only reach {order} of "
-            f"{group.order} elements mod {n}")
-    return group
+    return engine.adjoin_minus_identity(engine.subgroup_by_membership(
+        family, level, 2 * level, max_modulus))
 
 
-def _full_preimage_keys(family: str, level: int) -> list[engine.Element]:
-    """The presentation generators, then -I, reduced mod 2N."""
-    full = SignCharacter(generator_set(family, level), None)
-    return [m.reduce(2 * level).key() for m in lift_generators(full)]
+# g mod 2 for the three elements of order 2 in SL2(Z/2), the odd
+# permutations of S3
+_ODD_MOD_2 = frozenset({(0, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1)})
 
 
-@lru_cache(maxsize=1)
-def _congruence_conditions(family: str, level: int,
-                           max_modulus: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (mask, bit) met by the sign vector x of every congruence lift.
+def _characters(family: str,
+                level: int) -> list[Callable[[IntegerMatrix], int]]:
+    """The basis of Hom(H, F2) of the module docstring, as bits of g."""
+    profile = factorize(level)
+    s = profile.s
+    if s == 0:
+        characters = [lambda g: int((g.a % 2, g.b % 2, g.c % 2, g.d % 2)
+                                    in _ODD_MOD_2)]
+    else:
+        characters = [lambda g: g.b % 2, lambda g: g.c >> s & 1]
+    if family == "gamma1":
+        if level >= 3:
+            characters.append(lambda g: int(g.a % level == level - 1))
+        return characters
+    if s >= 2:
+        characters.append(lambda g: g.d % 4 >> 1)
+    if s >= 3:
+        characters.append(lambda g: int(g.d % 8 in (3, 5)))
+    characters += [lambda g, p=p: int(pow(g.d, (p - 1) // 2, p) == p - 1)
+                   for p in profile.odd_primes()]
+    return characters
 
-    x has bit i set when free sign i is -1 and meets (mask, bit) when
+
+def conditions_from_labels(generators: GeneratorSet, labels: Iterable[int]
+                           ) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Congruence conditions from F2 labels of the generators, then -I.
+
+    Returns the conditions and the rank of the labels.  A condition is a
+    pair (mask, bit) met by the sign vector x of every congruence lift: x
+    has bit i set when free sign i is -1 and meets (mask, bit) when
     mask & x has parity bit.  Row payloads pack variables << 1 | bit.
     """
-    generators = generator_set(family, level)
     # signed_generators forces the odd signs and rejects even torsion
     signed = SignCharacter(generators,
                            (1,) * generators.rank).signed_generators()
@@ -269,16 +315,37 @@ def _congruence_conditions(family: str, level: int,
     payloads = [1 << next(free_bits) if kind == "free" else int(sign == -1)
                 for (_, sign), (_, kind) in zip(signed, generators.entries)]
     payloads.append(1)
-    labels = engine.two_quotient(
-        full_image(family, level, max_modulus)).labels
-    rows = zip((labels[k] for k in _full_preimage_keys(family, level)),
-               payloads)
-    return tuple((p >> 1, p & 1) for p in engine.f2_dependencies(rows) if p)
+    dependent = engine.f2_dependencies(zip(labels, payloads))
+    conditions = tuple((p >> 1, p & 1) for p in dependent if p)
+    return conditions, len(payloads) - len(dependent)
 
 
-def classify_lift(character: SignCharacter,
-                  max_modulus: int = engine.DEFAULT_MAX_MODULUS
-                  ) -> LiftDescriptor:
+@lru_cache(maxsize=1)
+def _congruence_conditions(family: str,
+                           level: int) -> tuple[tuple[int, int], ...]:
+    """The level's congruence conditions, labelled by the characters.
+
+    Asserts that the labels of the generators and -I reach rank dim2 H,
+    the closed form, so that the characters are a basis of Hom(H, F2).
+    """
+    generators = generator_set(family, level)
+    characters = _characters(family, level)
+    labels = [sum(chi(g) << i for i, chi in enumerate(characters))
+              for g in lift_generators(SignCharacter(generators, None))]
+    conditions, rank = conditions_from_labels(generators, labels)
+    profile = factorize(level)
+    if family == "gamma0":
+        dim2 = min(4, profile.s + 1) + profile.t
+    else:
+        dim2 = min(2, profile.s + 1) + (level >= 3)
+    if rank != dim2:
+        raise AssertionError(
+            f"the characters of {family}({level}) reach rank {rank} on the "
+            f"generators, not dim2 H = {dim2}")
+    return conditions
+
+
+def classify_lift(character: SignCharacter) -> LiftDescriptor:
     """Classify one lift by its level's congruence conditions.
 
     The family and level are those of the character's generators.  The
@@ -286,13 +353,13 @@ def classify_lift(character: SignCharacter,
     proper congruence lift and |H| otherwise, H the full image mod 2N.
     """
     family, level = character.generators.family, character.generators.level
-    order = _full_image_cached(family, level, max_modulus).order
+    order = full_image_order(family, level)
     x = sum(1 << i for i, sign in enumerate(character.free_signs or ())
             if sign == -1)
     if character.is_full_preimage:
         classification, image_order = "congruence", order
     elif all((mask & x).bit_count() % 2 == bit for mask, bit
-             in _congruence_conditions(family, level, max_modulus)):
+             in _congruence_conditions(family, level)):
         classification, image_order = "congruence", order // 2
     else:
         classification, image_order = "noncongruence", order
@@ -307,7 +374,7 @@ class ClassificationReport:
     The totals come from the congruence conditions and the witness from
     `find_witness`; it is None exactly when every lift is congruence.
     `mode` and `descriptors` are kept only for the benchmark, whose
-    classify oracle and trace read them (ROADMAP items 1 and 2): mode is
+    classify oracle and trace read them: mode is
     "enumerated" when every lift also has a descriptor, or "counted" when
     2^r exceeds the enumeration cap.  Neither is in `to_dict`.
     """
@@ -340,15 +407,12 @@ class ClassificationReport:
 # N <= 24 twice (the predicate check, then the certificate audit), which
 # is 48 reports; a smaller LRU cache would redo every one of them.
 @lru_cache(maxsize=48)
-def _classify_all_cached(family: str, level: int,
-                         max_modulus: int) -> ClassificationReport:
-    # Every path needs H: building it first checks the cap before the symbol.
-    _full_image_cached(family, level, max_modulus)
+def _classify_all_cached(family: str, level: int) -> ClassificationReport:
     generators = generator_set(family, level)
     total = congruence = 1
     if generators.e2 == 0:
         total += 2 ** generators.rank
-        conditions = _congruence_conditions(family, level, max_modulus)
+        conditions = _congruence_conditions(family, level)
         # The conditions are consistent when every dependent payload is 0,
         # and their rank is len(conditions) - len(dependent).
         dependent = engine.f2_dependencies(conditions)
@@ -356,26 +420,27 @@ def _classify_all_cached(family: str, level: int,
             congruence += 2 ** (generators.rank - len(conditions)
                                 + len(dependent))
     # find_witness raises LookupError exactly when every lift is congruence.
-    witness = (find_witness(family, level, max_modulus)
-               if congruence < total else None)
+    witness = find_witness(family, level) if congruence < total else None
     totals = (family, level, total, congruence, total - congruence)
     if generators.e2 == 0 and 2 ** generators.rank > DEFAULT_ENUMERATION_CAP:
         return ClassificationReport(*totals, "counted", witness=witness)
-    descriptors = tuple(classify_lift(character, max_modulus)
+    descriptors = tuple(classify_lift(character)
                         for character in enumerate_lifts(generators))
     return ClassificationReport(*totals, "enumerated", descriptors, witness)
 
 
-def classify_all(family: str, level: int,
-                 max_modulus: int = engine.DEFAULT_MAX_MODULUS
-                 ) -> ClassificationReport:
-    """Count the congruence lifts and name the first noncongruence one."""
-    return _classify_all_cached(family, level, max_modulus)
+def classify_all(family: str, level: int) -> ClassificationReport:
+    """Count the congruence lifts and name the first noncongruence one.
+
+    The totals come from the congruence conditions, labelled by the dim2 H
+    characters whose asserted rank makes them a basis of Hom(H, F2), so H
+    is not enumerated and no modulus cap applies; the index bound refuses
+    a level before its symbol is grown.
+    """
+    return _classify_all_cached(family, level)
 
 
-def find_witness(family: str, level: int,
-                 max_modulus: int = engine.DEFAULT_MAX_MODULUS
-                 ) -> LiftDescriptor:
+def find_witness(family: str, level: int) -> LiftDescriptor:
     """First noncongruence lift in `enumerate_lifts` order, by the conditions.
 
     Read a sign vector as the integer whose bit r-1-i is set when free
@@ -388,10 +453,14 @@ def find_witness(family: str, level: int,
     that occurs in some condition.  If none occurs, every lift is
     congruence and LookupError is raised, as with even torsion, where the
     full preimage is the only lift.
+
+    Both facts depend only on the span of the conditions, so the character
+    basis gives the witness any basis of Hom(H, F2) would; no modulus cap
+    applies.
     """
     generators = generator_set(family, level)
     conditions = () if generators.e2 else _congruence_conditions(
-        family, level, max_modulus)
+        family, level)
     signs = [1] * generators.rank
     if not any(bit for _, bit in conditions):
         last = max((mask.bit_length() for mask, _ in conditions), default=0)
@@ -399,7 +468,7 @@ def find_witness(family: str, level: int,
             raise LookupError(
                 f"every lift of {family}({level}) is a congruence group")
         signs[last - 1] = -1
-    return classify_lift(SignCharacter(generators, tuple(signs)), max_modulus)
+    return classify_lift(SignCharacter(generators, tuple(signs)))
 
 
 def propagate_witness(parent: LiftDescriptor, family: str,
@@ -425,10 +494,10 @@ def propagate_witness(parent: LiftDescriptor, family: str,
             f"{family}({level}) does not embed in gamma1({parent.level})")
     subindex = index_formula(family, level) // index_formula(
         parent.family, parent.level)
+    _check_index(subindex, f"{family}({level}) in a {parent.family}"
+                           f"({parent.level}) lift")
     steps = parent.generators
-    tree, edges = _coset_walk(
-        _coset_key_fn(family, level), level, steps,
-        f"{family}({level}) in a {parent.family}({parent.level}) lift")
+    tree, edges = _coset_walk(_coset_key_fn(family, level), level, steps)
     if len(edges) != subindex:
         raise AssertionError(
             f"coset walk found {len(edges)} cosets, expected {subindex}")

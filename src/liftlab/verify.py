@@ -4,7 +4,10 @@ Each check_* function returns (passed, detail) and is independently
 callable; run_suite executes them in order with timings.  The checks
 deliberately recompute things through routes different from the ones
 under test (brute-force filters, closures, closed formulas) so a
-pass is evidence and not an echo.
+pass is evidence and not an echo.  The image H of the full preimage mod
+2N, enumerated, is such a route: no command builds it, and
+`check_classification_vs_predicates` holds the census's explicit
+characters against its two-quotient coordinates.
 
 verify_witness_data is the one certificate audit.  It re-validates a
 lift's JSON dict from scratch: the character's free signs must
@@ -31,8 +34,9 @@ from .matrices import IntegerMatrix, factorize
 from .presentation import (FAMILIES as PRESENTATION_FAMILIES, coset_action,
                            elliptic_counts, farey_symbol, free_rank,
                            general_level, generator_set, index_formula)
-from .lifts import (SignCharacter, classify_all, find_witness, full_image,
-                    lift_generators, propagate_witness)
+from .lifts import (SignCharacter, _congruence_conditions, classify_all,
+                    conditions_from_labels, find_witness, full_image,
+                    full_image_order, lift_generators, propagate_witness)
 
 RNG_SEED = 715
 
@@ -122,9 +126,7 @@ _TABLE_INDEX = {4: 6, 6: 12, 8: 12, 9: 12, 16: 24}
 _TABLE_RANK = {4: 2, 6: 3, 8: 3, 9: 3, 16: 5}
 
 
-def check_small_level_table(max_n: int = 16,
-                            max_modulus: int = engine.DEFAULT_MAX_MODULUS
-                            ) -> tuple[bool, str]:
+def check_small_level_table(max_n: int = 16) -> tuple[bool, str]:
     """The five small torsion-free levels and their classification split."""
     bad = []
     levels = [n for n in (4, 6, 8, 9, 16) if n <= max_n]
@@ -136,7 +138,7 @@ def check_small_level_table(max_n: int = 16,
             bad.append((n, "index", gens.index))
         if gens.rank != _TABLE_RANK[n]:
             bad.append((n, "rank", gens.rank))
-        report = classify_all("gamma0", n, max_modulus=max_modulus)
+        report = classify_all("gamma0", n)
         if report.all_congruence != (n in (4, 8)):
             bad.append((n, "classification", report.to_dict()))
     if bad:
@@ -153,12 +155,12 @@ def check_gamma1_census(max_n: int = 5, seed_tamper: bool = False,
     if seed_tamper and max_n < 5:
         return False, "the tamper control needs max_n >= 5 to have a target"
     if max_n >= 4:
-        r4 = classify_all("gamma1", 4, max_modulus=max_modulus)
+        r4 = classify_all("gamma1", 4)
         if (r4.total, r4.congruence, r4.noncongruence) != (5, 5, 0):
             bad.append(("gamma1(4)", r4.to_dict()))
         done.append("5/5/0")
     if max_n >= 5:
-        r5 = classify_all("gamma1", 5, max_modulus=max_modulus)
+        r5 = classify_all("gamma1", 5)
         if (r5.total, r5.congruence, r5.noncongruence) != (9, 3, 6):
             bad.append(("gamma1(5)", r5.to_dict()))
         elif r5.witness is None:
@@ -185,6 +187,43 @@ def check_gamma1_census(max_n: int = 5, seed_tamper: bool = False,
     return True, "lift censuses confirmed: " + ", ".join(done)
 
 
+def _span_rank(vectors: list[int]) -> int:
+    return len(vectors) - len(engine.f2_dependencies(
+        (v, 0) for v in vectors))
+
+
+def _direct_route_differs(family: str, n: int,
+                          max_modulus: int) -> tuple | None:
+    """The oracle for `lifts`' characters: H enumerated mod 2N.
+
+    |H| must equal `lifts.full_image_order`.  At a torsion-free level the
+    presentation generators and -I must reach all of H (a closure that
+    stops past |H|/2), and their `engine.two_quotient` labels, solved with
+    the same sign payloads, must give conditions spanning the same space
+    as the characters' conditions.
+    """
+    ambient = full_image(family, n, max_modulus=max_modulus)
+    if ambient.order != full_image_order(family, n):
+        return ("|H|", ambient.order, full_image_order(family, n))
+    generators = generator_set(family, n)
+    if generators.e2:
+        return None
+    keys = [m.reduce(2 * n).key()
+            for m in lift_generators(SignCharacter(generators, None))]
+    reached = engine.subgroup_order(keys, ambient)
+    if reached != ambient.order:
+        return ("generators reach", reached, ambient.order)
+    labels = engine.two_quotient(ambient).labels
+    direct, _ = conditions_from_labels(generators, [labels[k] for k in keys])
+    direct = [mask << 1 | bit for mask, bit in direct]
+    by_characters = [mask << 1 | bit
+                     for mask, bit in _congruence_conditions(family, n)]
+    if not (_span_rank(direct) == _span_rank(by_characters)
+            == _span_rank(direct + by_characters)):
+        return ("conditions", direct, by_characters)
+    return None
+
+
 def check_classification_vs_predicates(
         max_n: int = 48, max_modulus: int = engine.DEFAULT_MAX_MODULUS
         ) -> tuple[bool, str]:
@@ -192,16 +231,18 @@ def check_classification_vs_predicates(
 
     Every report, counted ones included, takes its totals from the
     congruence conditions, a route sharing no code with the closed form,
-    and carries a witness exactly when some lift is noncongruence.
+    and carries a witness exactly when some lift is noncongruence.  The
+    census labels generators by explicit characters; at every level the
+    direct route, H enumerated mod 2N, must agree with them.
     """
     top = _engine_range(max_n, max_modulus)
     predicates = {"gamma0": counting.all_lifts_congruence_gamma0,
                   "gamma1": counting.all_lifts_congruence_gamma1}
     bad = []
-    counted = 0
+    counted = compared = 0
     for family, predicate in predicates.items():
         for n in range(1, top + 1):
-            report = classify_all(family, n, max_modulus=max_modulus)
+            report = classify_all(family, n)
             counted += report.mode == "counted"
             formula = counting.count_congruence_lifts_formula(family, n).count
             if (report.congruence != formula
@@ -209,11 +250,18 @@ def check_classification_vs_predicates(
                     or (report.witness is None) != report.all_congruence):
                 bad.append((family, n, report.total, report.congruence,
                             report.noncongruence, report.mode, formula))
+            differs = _direct_route_differs(family, n, max_modulus)
+            if differs:
+                bad.append((family, n, "direct route", differs))
+            compared += generator_set(family, n).e2 == 0
     if bad:
         return False, (
-            f"the F2 census disagrees with the closed forms at: {bad}")
+            f"the F2 census disagrees with the closed forms or the direct "
+            f"route at: {bad}")
     return True, (f"predicates and closed-form counts match the F2 census "
-                  f"at all {2 * top} levels N <= {top} ({counted} counted)")
+                  f"at all {2 * top} levels N <= {top} ({counted} counted); "
+                  f"the characters' conditions span the direct route's at "
+                  f"{compared} torsion-free levels")
 
 
 def _hyperplanes_avoiding_e1(p: int, d: int) -> int:
@@ -328,7 +376,7 @@ def check_property_suite(max_n: int = 24,
     pulled = [(f, n) for f, n in (("gamma1", 6), ("gamma0", 12),
                                   ("gamma1", 12)) if n <= max_n]
     if pulled:
-        parent = find_witness("gamma0", 6, max_modulus=max_modulus)
+        parent = find_witness("gamma0", 6)
     for family, n in pulled:
         ambient = full_image(family, n, max_modulus=max_modulus)
         order = engine.subgroup_order(
@@ -337,7 +385,7 @@ def check_property_suite(max_n: int = 24,
         if order != ambient.order:
             bad.append(("pull-back image", family, n, order, ambient.order))
         try:
-            find_witness(family, n, max_modulus=max_modulus)
+            find_witness(family, n)
         except LookupError:
             bad.append(("no witness below a pull-back", family, n))
 
@@ -345,7 +393,7 @@ def check_property_suite(max_n: int = 24,
     checked = 0
     for family in ("gamma0", "gamma1"):
         for n in range(1, min(max_n, 24) + 1):
-            report = classify_all(family, n, max_modulus=max_modulus)
+            report = classify_all(family, n)
             if report.mode != "enumerated":
                 continue
             for desc in report.descriptors:
@@ -438,7 +486,8 @@ def verify_witness_data(data: dict,
     if cert["modulus"] != 2 * level:
         return False, f"certificate modulus {cert['modulus']} is not 2N"
     n = 2 * level
-    # full_image enforces the modulus cap before any closure runs.
+    # full_image enforces the modulus cap before any closure runs; the
+    # certificate's |H| came from the order formula, this one is enumerated.
     ambient = full_image(family, level, max_modulus=max_modulus)
     character = SignCharacter(generator_set(family, level),
                               None if signs == "full" else tuple(signs))
@@ -490,6 +539,8 @@ def run_suite(max_n: int = 24, seed_tamper: bool = False,
         if name == "gamma1-census":
             passed, detail = fn(max_n=max_n, seed_tamper=seed_tamper,
                                 max_modulus=max_modulus)
+        elif name == "small-level-table":
+            passed, detail = fn(max_n=max_n)
         elif name == "hyperplane-lemma":
             passed, detail = fn()
         elif name == "general-level":

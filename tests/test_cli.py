@@ -78,27 +78,41 @@ def test_classify_rejects_gamma(capsys):
 
 
 def test_classify_past_the_modulus_cap(capsys):
-    # gamma1(49) is counted (r > 9), but its totals still need H mod 98.
-    code, out, err = run(capsys, "classify", "--group", "gamma1", "--n", "49")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "modulus 98" in err
-    assert len(err.splitlines()) == 1
-    code, out, _ = run(capsys, "classify", "--group", "gamma1", "--n", "49",
-                       "--max-modulus", "98", "--format", "json")
-    assert code == 0
+    # The characters label gamma1(49) without H mod 98, so no cap applies,
+    # and classify and witness take no cap option.
+    code, out, err = run(capsys, "classify", "--group", "gamma1", "--n", "49",
+                         "--format", "json")
+    assert code == 0 and err == ""
     [record] = json.loads(out)
     assert record["congruence"] == 3
     assert record["witness"]["classification"] == "noncongruence"
+    for command in ("classify", "witness"):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--group", "gamma1", "--n", "49",
+                      "--max-modulus", "98"])
+        assert info.value.code == 1
+        _, err = capsys.readouterr()
+        assert "unrecognized arguments: --max-modulus 98" in err
 
 
-def test_engine_cap_message_names_the_cap_options(capsys):
-    # classify has no formula route, so its error must not suggest one.
-    code, out, err = run(capsys, "classify", "--group", "gamma0", "--n", "97")
+def test_engine_cap_message_names_the_cap_options(capsys, tmp_path):
+    # verify-witness audits by a closure in H mod 2N, so it keeps the cap;
+    # it has no formula route, so its error must not suggest one.
+    code, _, err = run(capsys, "witness", "--group", "gamma0", "--n", "97")
+    assert code == 3 and err.startswith("no witness:")
+    path = tmp_path / "w49.json"
+    code, _, _ = run(capsys, "witness", "--group", "gamma0", "--n", "49",
+                     "--out", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "verify-witness", "--in", str(path))
     assert code == 1 and out == ""
-    assert err.startswith("error: modulus 194 exceeds the engine cap 96")
+    assert err.startswith("error: modulus 98 exceeds the engine cap 96")
     assert len(err.splitlines()) == 1
     assert "--max-modulus" in err and "max_modulus=" in err
     assert "formula" not in err
+    code, out, _ = run(capsys, "verify-witness", "--in", str(path),
+                       "--max-modulus", "98")
+    assert code == 0 and "witness re-verified" in out
 
 
 def test_count_engine_cap_message_suggests_the_formula_mode(capsys):

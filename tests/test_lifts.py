@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from liftlab import counting, engine, lifts, verify
+from liftlab import counting, engine, lifts, presentation, verify
 from liftlab.lifts import (LiftCertificate, SignCharacter, classify_all,
                            classify_lift, enumerate_lifts, find_witness,
                            full_image, lift_generators, propagate_witness)
 from liftlab.matrices import IntegerMatrix
-from liftlab.presentation import generator_set, proj_member
+from liftlab.presentation import IndexBoundExceeded, generator_set, \
+    proj_member
 
 
 def signs_of(descriptor):
@@ -356,17 +357,21 @@ def test_certificates_survive_independent_closure():
 
 
 def test_classify_all_checks_the_cap_before_the_symbol(monkeypatch):
-    # Past the cap classify_all must fail before it grows the Farey symbol
-    # of gamma1(600), index 115200.
-    def no_symbol(family, level):
-        raise AssertionError(f"grew the symbol of {family}({level})")
+    # classify_all and find_witness have no modulus cap; the index bound
+    # refuses gamma1(1000), index 360000, before a coset of its Farey
+    # symbol is keyed.
+    def no_walk(*args):
+        raise AssertionError("walked the cosets of gamma1(1000)")
 
-    monkeypatch.setattr(lifts, "generator_set", no_symbol)
-    with pytest.raises(engine.ModulusCapExceeded):
-        classify_all("gamma1", 600)
+    monkeypatch.setattr(presentation, "_coset_key_fn", no_walk)
+    for call in (classify_all, find_witness):
+        with pytest.raises(IndexBoundExceeded,
+                           match=r"index 360000 of gamma1\(1000\)"):
+            call("gamma1", 1000)
 
 
 def test_level_caches_key_on_the_resolved_cap():
+    # Only full_image enumerates, so only its cache keys on the cap.
     caches = (lifts._full_image_cached, lifts._congruence_conditions,
               lifts._classify_all_cached)
     for cache in caches:
@@ -377,21 +382,79 @@ def test_level_caches_key_on_the_resolved_cap():
     misses = [cache.cache_info().misses for cache in caches]
     # Every call form names the same entry: each lookup below is a hit.
     cap = engine.DEFAULT_MAX_MODULUS
-    for call in (full_image, find_witness, classify_all):
-        call("gamma0", 12)
-        call("gamma0", 12, cap)
-        call("gamma0", 12, max_modulus=cap)
+    full_image("gamma0", 12)
+    full_image("gamma0", 12, cap)
+    full_image("gamma0", 12, max_modulus=cap)
+    find_witness("gamma0", 12)
+    classify_all("gamma0", 12)
     assert [cache.cache_info().misses for cache in caches] == misses
     # A lower cap is enforced, not answered from the cached level.
-    for call in (full_image, find_witness, classify_all):
-        with pytest.raises(engine.ModulusCapExceeded):
+    with pytest.raises(engine.ModulusCapExceeded):
+        full_image("gamma0", 12, max_modulus=4)
+    for call in (find_witness, classify_all):
+        with pytest.raises(TypeError):
             call("gamma0", 12, max_modulus=4)
 
 
 def test_environment_sets_no_cap(monkeypatch):
-    # The cap is an argument only: no environment variable lowers it.
-    monkeypatch.setenv("LIFTLAB_MAX_MODULUS", "4")
+    # The cap is an argument of full_image only: no environment variable
+    # lowers or raises it, and the census reads none.
     lifts._full_image_cached.cache_clear()
     lifts._classify_all_cached.cache_clear()
+    monkeypatch.setenv("LIFTLAB_MAX_MODULUS", "4")
     assert full_image("gamma0", 12).order == 384
     assert classify_all("gamma0", 12).total == 33
+    monkeypatch.setenv("LIFTLAB_MAX_MODULUS", "98")
+    with pytest.raises(engine.ModulusCapExceeded):
+        full_image("gamma1", 49)
+    assert classify_all("gamma1", 49).congruence == 3
+
+
+def test_census_enumerates_no_image(monkeypatch):
+    # The characters replace H: with the enumeration disabled, the census
+    # and the witness still answer, with the same results.
+    levels = [("gamma0", 12), ("gamma0", 30), ("gamma1", 5), ("gamma1", 24)]
+    want = [(classify_all(f, n).to_dict(), find_witness(f, n).to_dict())
+            for f, n in levels]
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated an image mod 2N")
+
+    monkeypatch.setattr(engine, "subgroup_by_membership", no_enumeration)
+    for cache in (lifts._full_image_cached, lifts._congruence_conditions,
+                  lifts._classify_all_cached):
+        cache.cache_clear()
+    got = [(classify_all(f, n).to_dict(), find_witness(f, n).to_dict())
+           for f, n in levels]
+    assert got == want
+
+
+@pytest.mark.parametrize("family, level", [
+    ("gamma0", 2310), ("gamma0", 4036), ("gamma0", 9240), ("gamma1", 200),
+    ("gamma1", 300)])
+def test_census_matches_the_closed_form_past_the_cap(family, level):
+    # 2N is far past the modulus cap; gamma0(4036) = 4 * 1009 would need an
+    # image mod 1009 even by CRT components.
+    report = classify_all(family, level)
+    gens = generator_set(family, level)
+    assert gens.e2 == 0
+    assert report.total == 1 + 2 ** gens.rank
+    assert report.congruence == counting.count_congruence_lifts_formula(
+        family, level).count
+    assert report.witness.classification == "noncongruence"
+    assert report.witness.certificate.modulus == 2 * level
+
+
+@pytest.mark.parametrize("family, level", [
+    ("gamma0", 7), ("gamma0", 15), ("gamma0", 24), ("gamma1", 5),
+    ("gamma1", 12)])
+def test_dropping_a_character_trips_the_rank_assertion(monkeypatch, family,
+                                                      level):
+    characters = lifts._characters
+    for i in range(len(characters(family, level))):
+        monkeypatch.setattr(lifts, "_characters", lambda f, n, i=i: [
+            chi for j, chi in enumerate(characters(f, n)) if j != i])
+        lifts._congruence_conditions.cache_clear()
+        with pytest.raises(AssertionError, match="reach rank"):
+            lifts._congruence_conditions(family, level)
+    lifts._congruence_conditions.cache_clear()

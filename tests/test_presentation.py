@@ -238,9 +238,30 @@ def test_cosets_are_numbered_breadth_first():
 
 
 def test_index_bound(monkeypatch):
+    # The exact index is compared with the bound before a coset is keyed;
+    # the bound still serves the gamma1(360) symbol.
+    assert index_formula("gamma1", 360) <= presentation.DEFAULT_MAX_INDEX
+    parent = lifts.find_witness("gamma0", 6)
+
+    def no_walk(*args):
+        raise AssertionError("a coset walk started")
+
+    monkeypatch.setattr(presentation, "_coset_key_fn", no_walk)
+    monkeypatch.setattr(lifts, "_coset_key_fn", no_walk)
+    with pytest.raises(IndexBoundExceeded,
+                       match=r"index 360000 of gamma1\(1000\) exceeds the "
+                             r"index bound 50000"):
+        presentation.farey_symbol("gamma1", 1000)
+    with pytest.raises(IndexBoundExceeded, match=r"index 360000"):
+        build_coset_action("gamma1", 1000)
     monkeypatch.setattr(presentation, "DEFAULT_MAX_INDEX", 5)
-    with pytest.raises(IndexBoundExceeded):
+    with pytest.raises(IndexBoundExceeded, match=r"index 12 of gamma0\(6\)"):
         build_coset_action("gamma0", 6)
+    # gamma0(12) has 2 cosets in a gamma0(6) lift
+    monkeypatch.setattr(presentation, "DEFAULT_MAX_INDEX", 1)
+    with pytest.raises(IndexBoundExceeded,
+                       match=r"index 2 of gamma0\(12\) in a gamma0\(6\) lift"):
+        lifts.propagate_witness(parent, "gamma0", 12)
 
 
 def scan_farey_symbol(family, level):
@@ -345,7 +366,7 @@ def test_gamma0_key_partitions_like_the_unit_orbits():
 def walk_tree(n):
     """Tree and edges of the gamma0(n) coset walk under the current key."""
     return presentation._coset_walk(
-        presentation._coset_key_fn("gamma0", n), n, (S, T), f"gamma0({n})")
+        presentation._coset_key_fn("gamma0", n), n, (S, T))
 
 
 def test_coset_representatives_unchanged_by_the_gamma0_key(monkeypatch):
@@ -387,7 +408,7 @@ def test_row_walk_matches_the_matrix_walk():
     for family, n in cases:
         key = presentation._coset_key_fn(family, n)
         reps, edges = matrix_coset_walk(key, (S, T))
-        tree, got = presentation._coset_walk(key, n, (S, T), family)
+        tree, got = presentation._coset_walk(key, n, (S, T))
         assert got == edges, (family, n)
         rebuilt = [IDENTITY]
         for i, k in tree:
