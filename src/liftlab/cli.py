@@ -6,8 +6,9 @@ classify (full lift classification for one or more levels), witness
 generators), verify (the check suite) and verify-witness (re-validate a
 witness file).
 
-Exit codes: 0 success, 1 usage or structured domain error, 2
-verification disagreement, 3 requested object does not exist.
+Exit codes: 0 success, 1 usage or structured domain error (the engine's
+scan bound and the index bound among them), 2 verification disagreement,
+3 requested object does not exist.  No option sets either bound.
 """
 
 from __future__ import annotations
@@ -96,13 +97,14 @@ def cmd_count(args) -> int:
         if args.mode in ("engine", "both"):
             try:
                 engine_count = counting.count_congruence_lifts_engine(
-                    args.group, n, max_modulus=args.max_modulus)
-            except engine.ModulusCapExceeded as exc:
+                    args.group, n)
+            except engine.ScanBoundExceeded as exc:
                 if args.mode == "engine":
-                    print(f"error: {exc}, or use --mode formula, which "
+                    print(f"error: {exc}; use --mode formula, which "
                           f"needs no engine", file=sys.stderr)
                     return EXIT_USAGE
-                engine_count = None
+                print(f"note: no engine count at N = {n}: {exc}",
+                      file=sys.stderr)
         base = formula or engine_count
         agree = None
         if formula is not None and engine_count is not None:
@@ -218,8 +220,7 @@ def cmd_verify(args) -> int:
         print("error: --seed-tamper needs --max-n 5 or more to reach the "
               "gamma1(5) witness it tampers with", file=sys.stderr)
         return EXIT_USAGE
-    results = verify.run_suite(max_n=args.max_n, seed_tamper=args.seed_tamper,
-                               max_modulus=args.max_modulus)
+    results = verify.run_suite(max_n=args.max_n, seed_tamper=args.seed_tamper)
     if args.format == "json":
         _emit(json.dumps([r.to_dict() for r in results], indent=2), args.out)
     else:
@@ -230,8 +231,7 @@ def cmd_verify(args) -> int:
 def cmd_verify_witness(args) -> int:
     with open(args.infile) as fh:
         data = json.load(fh)
-    ok, message = verify.verify_witness_data(data,
-                                             max_modulus=args.max_modulus)
+    ok, message = verify.verify_witness_data(data)
     print(message)
     return EXIT_OK if ok else EXIT_DISAGREE
 
@@ -248,15 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="level k or inclusive range a..b")
         p.add_argument("--out", default=None, help="write output to a file")
 
-    def add_cap(p):
-        p.add_argument("--max-modulus", type=positive_int,
-                       default=engine.DEFAULT_MAX_MODULUS,
-                       help="largest modulus the engine enumerates "
-                            "(default: %(default)s)")
-
     p = sub.add_parser("count", help="congruence lift counts")
     add_common(p)
-    add_cap(p)
     p.add_argument("--mode", choices=("formula", "engine", "both"),
                    default="both")
     p.add_argument("--format", choices=("table", "json", "csv"),
@@ -283,14 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-tamper", action="store_true",
                    help="negative control: corrupt one witness sign and "
                         "demand the suite notices")
-    add_cap(p)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("verify-witness", help="re-validate a witness file")
     p.add_argument("--in", dest="infile", required=True)
-    add_cap(p)
     p.set_defaults(fn=cmd_verify_witness)
 
     return parser

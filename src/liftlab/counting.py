@@ -15,8 +15,8 @@ SL2(Z) projecting onto a given projective congruence group:
 
 Here 2^(d-1) counts the hyperplanes of F2^d that avoid the nonzero image
 of -I (`count_codim1_avoiding`, a lemma `verify` checks by enumeration).
-The engine route's modulus cap is a plain argument that bounds each CRT
-component, `engine.DEFAULT_MAX_MODULUS` unless the caller passes another.
+The engine route's one size guard is the engine's scan bound
+(`engine.MAX_SCAN`), which applies to each CRT component.
 
 The two routes share no code and are kept separate deliberately; their
 agreement over a whole modulus range is the main acceptance check.
@@ -111,20 +111,21 @@ def count_congruence_lifts_formula(family: str, level: int) -> LiftCountReport:
     return LiftCountReport(family, level, count, "formula", branch)
 
 
-def count_congruence_lifts_engine(family: str, level: int,
-                                  max_modulus: int = engine.DEFAULT_MAX_MODULUS
-                                  ) -> LiftCountReport:
+def count_congruence_lifts_engine(family: str, level: int, *,
+                                  max_modulus=None) -> LiftCountReport:
     """Engine count: build Gamma/Gamma(2N) and apply the d/-I trichotomy.
 
     The image is built one CRT component at a time
-    (`engine.quotient_summary_crt`), so the cap bounds 2^(s+1) and each
-    p^e rather than 2N.  When -I is not in G, <G, -I> is G x <-I>: its
-    two-quotient has one more coordinate than G's, and -I lies outside
-    its squares subgroup (as it lies outside G's).
+    (`engine.quotient_summary_crt`), so the scan bound applies to the
+    images mod 2^(s+1) and mod each p^e rather than mod 2N.  When -I is
+    not in G, <G, -I> is G x <-I>: its two-quotient has one more
+    coordinate than G's, and -I lies outside its squares subgroup (as it
+    lies outside G's).
     """
+    # max_modulus is not read: perfbench/worker.py still passes it, and it
+    # goes with the benchmark's next revision (ROADMAP item 1).
     _require_level(level)
-    summary = engine.quotient_summary_crt(family, level,
-                                          max_modulus=max_modulus)
+    summary = engine.quotient_summary_crt(family, level)
     minus_in_gamma = summary.minus_one_in_group
     dim2 = summary.dim2 + (not minus_in_gamma)
     if summary.minus_one_in_squares:

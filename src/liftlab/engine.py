@@ -3,8 +3,8 @@
 Everything here works on canonically encoded elements: 4-tuples
 (a, b, c, d) of least nonnegative residues with ad - bc = 1 mod n.
 Groups are plain element sets; products are computed on demand rather
-than through a Cayley table, which keeps SL2(Z/96)-sized groups (about
-6 * 10^5 elements) within reach.
+than through a Cayley table, which keeps images of a few 10^5 elements
+within reach.
 
 The enumeration of a congruence subgroup's image mod n walks unimodular
 bottom rows (c, d): each row with gcd(c, d, n) = 1 extends to exactly n
@@ -14,9 +14,13 @@ the subgroup's congruence conditions could have; the per-matrix filter
 still applies the full defining predicate.  Images are named by the
 package's family names (gamma0, gamma1, gamma).
 
-Every enumeration is bounded by a modulus cap, a plain `max_modulus`
-argument that defaults to `DEFAULT_MAX_MODULUS`; past it the engine
-raises `ModulusCapExceeded` instead of grinding.
+Every enumeration is bounded by one size guard on the work itself: the
+row scan visits (modulus // level) * modulus^2 candidate matrices, a
+number known before it starts, and past `MAX_SCAN` the engine raises
+`ScanBoundExceeded` instead of grinding.  Everything built later (-I
+adjoined, the squares subgroup, the two-quotient, a closure inside the
+image) works on the image, a subset of the scan, so the one comparison
+bounds it all.
 """
 
 from __future__ import annotations
@@ -28,7 +32,11 @@ from typing import Callable, Iterable
 
 from .matrices import factorize
 
-DEFAULT_MAX_MODULUS = 96
+# The most candidate matrices one row scan may visit.  The bound is a time
+# budget of about 2 s for the costliest consumer, `quotient_summary` on a
+# prime modulus, where the image is nearly the whole scan: gamma0 mod 499
+# (249001 candidates) takes 1-1.6 s on a 2-core Intel Xeon VM.
+MAX_SCAN = 300_000
 
 # The families of congruence subgroups whose images the engine builds;
 # level 1 of any of them is all of SL2.
@@ -37,20 +45,29 @@ FAMILIES = ("gamma0", "gamma1", "gamma")
 Element = tuple[int, int, int, int]
 
 
-class ModulusCapExceeded(ValueError):
-    """Raised when an enumeration would exceed the configured modulus cap."""
+class ScanBoundExceeded(ValueError):
+    """Raised when a row scan would visit more than `MAX_SCAN` candidates."""
 
-    def __init__(self, modulus: int, cap: int):
+    def __init__(self, family: str, level: int, modulus: int, scan: int):
+        self.family = family
+        self.level = level
         self.modulus = modulus
-        self.cap = cap
+        self.scan = scan
+        self.bound = MAX_SCAN
         super().__init__(
-            f"modulus {modulus} exceeds the engine cap {cap}; "
-            f"raise it with --max-modulus (max_modulus= in the library)")
+            f"the image of {family}({level}) mod {modulus} needs a row scan "
+            f"of {scan} candidates, past the engine's scan bound {MAX_SCAN}")
 
 
-def _check_cap(modulus: int, max_modulus: int) -> None:
-    if modulus > max_modulus:
-        raise ModulusCapExceeded(modulus, max_modulus)
+def check_scan(family: str, level: int, modulus: int) -> None:
+    """Refuse the image of `family(level)` mod `modulus` past `MAX_SCAN`.
+
+    The row scan of `subgroup_by_membership` visits modulus // level
+    bottom-row entries c, modulus entries d and modulus matrices per row.
+    """
+    scan = modulus // level * modulus ** 2
+    if scan > MAX_SCAN:
+        raise ScanBoundExceeded(family, level, modulus, scan)
 
 
 def mul(x: Element, y: Element, n: int) -> Element:
@@ -216,9 +233,8 @@ def _family_filters(family: str,
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def subgroup_by_membership(family: str, level: int, modulus: int,
-                           max_modulus: int = DEFAULT_MAX_MODULUS
-                           ) -> ResidueMatrixGroup:
+def subgroup_by_membership(family: str, level: int,
+                           modulus: int) -> ResidueMatrixGroup:
     """Image of a congruence subgroup of level `level` in SL2(Z/modulus).
 
     The image of Gamma_0(N) (resp. Gamma_1, Gamma(N)) mod n consists of
@@ -230,9 +246,9 @@ def subgroup_by_membership(family: str, level: int, modulus: int,
     if modulus % level != 0:
         raise ValueError(
             f"modulus {modulus} is not a multiple of the level {level}")
-    _check_cap(modulus, max_modulus)
-    n = modulus
     stride, keep = _family_filters(family, level)
+    check_scan(family, level, modulus)
+    n = modulus
     elements = set()
     for c in range(0, n, stride):
         for d in range(n):
@@ -358,12 +374,11 @@ class QuotientSummary:
     minus_one_in_squares: bool
 
 
-def quotient_summary(family: str, level: int, modulus: int | None = None,
-                     max_modulus: int = DEFAULT_MAX_MODULUS
-                     ) -> QuotientSummary:
+def quotient_summary(family: str, level: int,
+                     modulus: int | None = None) -> QuotientSummary:
     """Two-quotient data for the image of a congruence subgroup mod 2N."""
     n = 2 * level if modulus is None else modulus
-    group = subgroup_by_membership(family, level, n, max_modulus)
+    group = subgroup_by_membership(family, level, n)
     quotient = two_quotient(group)
     neg = minus_identity(n)
     return QuotientSummary(
@@ -377,9 +392,7 @@ def quotient_summary(family: str, level: int, modulus: int | None = None,
     )
 
 
-def quotient_summary_crt(family: str, level: int,
-                         max_modulus: int = DEFAULT_MAX_MODULUS
-                         ) -> QuotientSummary:
+def quotient_summary_crt(family: str, level: int) -> QuotientSummary:
     """The summary `quotient_summary(family, level)` gives, built by CRT.
 
     SL2(Z/2N) is the direct product of its components mod 2^(s+1) and
@@ -387,15 +400,19 @@ def quotient_summary_crt(family: str, level: int,
     same way, so the image mod 2N is the product of the component images.
     A direct product's squares subgroup is the product of the factors'
     squares subgroups: dim2 adds, and -I lies in G (or in G'G^2) exactly
-    when every component of -I does.  The cap bounds each component
-    modulus, so levels with 2N past it are reached when the components
-    fit.  The direct computation mod 2N stays the oracle in `verify`.
+    when every component of -I does.  The scan bound applies to each
+    component, so a level whose scan mod 2N is past it is reached when
+    the components fit; every component is checked before any is built.
+    The direct computation mod 2N stays the oracle in `verify`.
     """
     profile = factorize(level)
     two_part = 2 ** profile.s
-    parts = [quotient_summary(family, two_part, 2 * two_part, max_modulus)]
-    parts += [quotient_summary(family, p ** e, p ** e, max_modulus)
-              for p, e in profile.odd_factors]
+    components = [(two_part, 2 * two_part)]
+    components += [(p ** e, p ** e) for p, e in profile.odd_factors]
+    for part_level, modulus in components:
+        check_scan(family, part_level, modulus)
+    parts = [quotient_summary(family, part_level, modulus)
+             for part_level, modulus in components]
     return QuotientSummary(
         family=family,
         level=level,

@@ -62,11 +62,11 @@ generator set names the family and the level, and `lift_generators`
 derives the lift's generators from it (for the full preimage, the
 character with no sign vector, the presentation generators and -I).
 Each level caches its congruence conditions and report.  Only
-`full_image`, H enumerated mod 2N, takes the modulus cap: no command path
-builds it, and `verify` keeps it as the oracle for the characters and the
-audits.  `propagate_witness` keeps the paper's pull-back, the Schreier
-generators of a smaller group's preimage inside a witness, for a
-cross-check in `verify`.
+`full_image`, H enumerated mod 2N, meets the engine's scan bound: the
+census never builds it, and `verify` keeps it as the oracle for the
+characters and the audits.  `propagate_witness` keeps the paper's
+pull-back, the Schreier generators of a smaller group's preimage inside
+a witness, for a cross-check in `verify`.
 """
 
 from __future__ import annotations
@@ -249,26 +249,23 @@ def full_image_order(family: str, level: int) -> int:
     return order // index_formula(family, level)
 
 
-def full_image(family: str, level: int,
-               max_modulus: int = engine.DEFAULT_MAX_MODULUS
-               ) -> engine.ResidueMatrixGroup:
+def full_image(family: str, level: int) -> engine.ResidueMatrixGroup:
     """Image H of the full preimage in SL2(Z/2N), enumerated.
 
-    No command path needs it: the characters label the generators and
+    No census needs it: the characters label the generators and
     `full_image_order` gives |H|.  It is `verify`'s oracle for both, and
     the ambient group of the certificate audit, so it is the one level
-    computation the modulus cap bounds.
+    computation the engine's scan bound refuses.
     """
-    return _full_image_cached(family, level, max_modulus)
+    return _full_image_cached(family, level)
 
 
-# The public function passes the cap positionally, so every call form of
-# it hits one entry, and a different cap is a different entry.
+# The public function passes its arguments positionally, so every call
+# form of it hits one entry.
 @lru_cache(maxsize=1)
-def _full_image_cached(family: str, level: int,
-                       max_modulus: int) -> engine.ResidueMatrixGroup:
+def _full_image_cached(family: str, level: int) -> engine.ResidueMatrixGroup:
     return engine.adjoin_minus_identity(engine.subgroup_by_membership(
-        family, level, 2 * level, max_modulus))
+        family, level, 2 * level))
 
 
 # g mod 2 for the three elements of order 2 in SL2(Z/2), the odd
@@ -434,7 +431,7 @@ def classify_all(family: str, level: int) -> ClassificationReport:
 
     The totals come from the congruence conditions, labelled by the dim2 H
     characters whose asserted rank makes them a basis of Hom(H, F2), so H
-    is not enumerated and no modulus cap applies; the index bound refuses
+    is not enumerated and no scan bound applies; the index bound refuses
     a level before its symbol is grown.
     """
     return _classify_all_cached(family, level)
@@ -455,7 +452,7 @@ def find_witness(family: str, level: int) -> LiftDescriptor:
     full preimage is the only lift.
 
     Both facts depend only on the span of the conditions, so the character
-    basis gives the witness any basis of Hom(H, F2) would; no modulus cap
+    basis gives the witness any basis of Hom(H, F2) would; no scan bound
     applies.
     """
     generators = generator_set(family, level)

@@ -20,6 +20,11 @@ index 2 is closed to completion.  It audits exported witness
 files and, in the property suite, every enumerated lift at N <= 24.
 Every witness carries its own free signs; a file with null free_signs is
 rejected.
+
+The audit and the engine checks enumerate images mod 2N, so the
+engine's one size guard, its scan bound, applies to them: past it the
+audit refuses a witness, and `run_suite` refuses a `max_n` before any
+check runs.
 """
 
 from __future__ import annotations
@@ -53,51 +58,41 @@ class CheckResult:
                 "detail": self.detail, "seconds": round(self.seconds, 3)}
 
 
-def _engine_range(max_n: int, max_modulus: int) -> int:
-    return min(max_n, max_modulus // 2)
-
-
-def check_count_agreement(max_n: int = 48,
-                          max_modulus: int = engine.DEFAULT_MAX_MODULUS
-                          ) -> tuple[bool, str]:
+def check_count_agreement(max_n: int = 48) -> tuple[bool, str]:
     """Formula and engine congruence-lift counts agree on every level."""
-    top = _engine_range(max_n, max_modulus)
     bad = []
     for family in counting.FAMILIES:
-        for n in range(1, top + 1):
+        for n in range(1, max_n + 1):
             a = counting.count_congruence_lifts_formula(family, n).count
-            b = counting.count_congruence_lifts_engine(
-                family, n, max_modulus=max_modulus).count
+            b = counting.count_congruence_lifts_engine(family, n).count
             if a != b:
                 bad.append((family, n, a, b))
     spots = {("gamma0", 4): 5, ("gamma0", 8): 9, ("gamma0", 9): 3,
              ("gamma1", 5): 3, ("gamma1", 6): 5, ("gamma", 2): 5,
              ("gamma", 4): 9}
     for (family, n), want in spots.items():
-        if n <= top:
+        if n <= max_n:
             got = counting.count_congruence_lifts_formula(family, n).count
             if got != want:
                 bad.append((family, n, got, f"expected {want}"))
     if bad:
         return False, f"disagreements: {bad[:8]}"
-    return True, f"{3 * top} level counts agree on both routes, N <= {top}"
+    return True, (f"{3 * max_n} level counts agree on both routes, "
+                  f"N <= {max_n}")
 
 
-def check_quotient_structure(max_n: int = 48,
-                             max_modulus: int = engine.DEFAULT_MAX_MODULUS
-                             ) -> tuple[bool, str]:
+def check_quotient_structure(max_n: int = 48) -> tuple[bool, str]:
     """dim2 and the -I membership flags match the closed descriptions.
 
     Each direct summary mod 2N is also the oracle for the CRT route the
     engine count takes: `engine.quotient_summary_crt` must return the
     same summary, group order included.
     """
-    top = _engine_range(max_n, max_modulus)
     bad = []
-    for n in range(1, top + 1):
+    for n in range(1, max_n + 1):
         prof = factorize(n)
         s, t = prof.s, prof.t
-        q0 = engine.quotient_summary("gamma0", n, max_modulus=max_modulus)
+        q0 = engine.quotient_summary("gamma0", n)
         if q0.dim2 != min(4, s + 1) + t:
             bad.append(("gamma0 dim2", n, q0.dim2))
         if not q0.minus_one_in_group:
@@ -105,20 +100,19 @@ def check_quotient_structure(max_n: int = 48,
         want_sq = s <= 1 and all(p % 4 == 1 for p in prof.odd_primes())
         if q0.minus_one_in_squares != want_sq:
             bad.append(("gamma0 -I in squares", n, q0.minus_one_in_squares))
-        q1 = engine.quotient_summary("gamma1", n, max_modulus=max_modulus)
+        q1 = engine.quotient_summary("gamma1", n)
         if q1.dim2 != min(2, s + 1):
             bad.append(("gamma1 dim2", n, q1.dim2))
-        qf = engine.quotient_summary("gamma", n, max_modulus=max_modulus)
+        qf = engine.quotient_summary("gamma", n)
         if qf.dim2 != (1 if s == 0 else 3):
             bad.append(("gamma dim2", n, qf.dim2))
         for direct in (q0, q1, qf):
-            split = engine.quotient_summary_crt(direct.family, n,
-                                                max_modulus=max_modulus)
+            split = engine.quotient_summary_crt(direct.family, n)
             if split != direct:
                 bad.append(("crt summary", direct.family, n, split))
     if bad:
         return False, f"structure mismatches: {bad[:8]}"
-    return True, (f"dim2 and -I flags match for N <= {top}, all three "
+    return True, (f"dim2 and -I flags match for N <= {max_n}, all three "
                   f"families; the CRT summaries equal the direct ones")
 
 
@@ -146,9 +140,8 @@ def check_small_level_table(max_n: int = 16) -> tuple[bool, str]:
     return True, f"index/rank/classification table reproduced for N in {levels}"
 
 
-def check_gamma1_census(max_n: int = 5, seed_tamper: bool = False,
-                        max_modulus: int = engine.DEFAULT_MAX_MODULUS
-                        ) -> tuple[bool, str]:
+def check_gamma1_census(max_n: int = 5,
+                        seed_tamper: bool = False) -> tuple[bool, str]:
     """Lift censuses at levels 4 and 5, plus witness re-verification."""
     bad = []
     done = []
@@ -169,7 +162,7 @@ def check_gamma1_census(max_n: int = 5, seed_tamper: bool = False,
             data = r5.witness.to_dict()
             if seed_tamper:
                 data["character"]["free_signs"][0] *= -1
-            ok, msg = verify_witness_data(data, max_modulus=max_modulus)
+            ok, msg = verify_witness_data(data)
             if seed_tamper and ok:
                 bad.append(("negative control",
                             "tampered witness was accepted"))
@@ -192,8 +185,7 @@ def _span_rank(vectors: list[int]) -> int:
         (v, 0) for v in vectors))
 
 
-def _direct_route_differs(family: str, n: int,
-                          max_modulus: int) -> tuple | None:
+def _direct_route_differs(family: str, n: int) -> tuple | None:
     """The oracle for `lifts`' characters: H enumerated mod 2N.
 
     |H| must equal `lifts.full_image_order`.  At a torsion-free level the
@@ -202,7 +194,7 @@ def _direct_route_differs(family: str, n: int,
     the same sign payloads, must give conditions spanning the same space
     as the characters' conditions.
     """
-    ambient = full_image(family, n, max_modulus=max_modulus)
+    ambient = full_image(family, n)
     if ambient.order != full_image_order(family, n):
         return ("|H|", ambient.order, full_image_order(family, n))
     generators = generator_set(family, n)
@@ -224,9 +216,7 @@ def _direct_route_differs(family: str, n: int,
     return None
 
 
-def check_classification_vs_predicates(
-        max_n: int = 48, max_modulus: int = engine.DEFAULT_MAX_MODULUS
-        ) -> tuple[bool, str]:
+def check_classification_vs_predicates(max_n: int = 48) -> tuple[bool, str]:
     """The closed-form predicates and counts against the F2 lift census.
 
     Every report, counted ones included, takes its totals from the
@@ -235,13 +225,12 @@ def check_classification_vs_predicates(
     census labels generators by explicit characters; at every level the
     direct route, H enumerated mod 2N, must agree with them.
     """
-    top = _engine_range(max_n, max_modulus)
     predicates = {"gamma0": counting.all_lifts_congruence_gamma0,
                   "gamma1": counting.all_lifts_congruence_gamma1}
     bad = []
     counted = compared = 0
     for family, predicate in predicates.items():
-        for n in range(1, top + 1):
+        for n in range(1, max_n + 1):
             report = classify_all(family, n)
             counted += report.mode == "counted"
             formula = counting.count_congruence_lifts_formula(family, n).count
@@ -250,7 +239,7 @@ def check_classification_vs_predicates(
                     or (report.witness is None) != report.all_congruence):
                 bad.append((family, n, report.total, report.congruence,
                             report.noncongruence, report.mode, formula))
-            differs = _direct_route_differs(family, n, max_modulus)
+            differs = _direct_route_differs(family, n)
             if differs:
                 bad.append((family, n, "direct route", differs))
             compared += generator_set(family, n).e2 == 0
@@ -259,9 +248,9 @@ def check_classification_vs_predicates(
             f"the F2 census disagrees with the closed forms or the direct "
             f"route at: {bad}")
     return True, (f"predicates and closed-form counts match the F2 census "
-                  f"at all {2 * top} levels N <= {top} ({counted} counted); "
-                  f"the characters' conditions span the direct route's at "
-                  f"{compared} torsion-free levels")
+                  f"at all {2 * max_n} levels N <= {max_n} ({counted} "
+                  f"counted); the characters' conditions span the direct "
+                  f"route's at {compared} torsion-free levels")
 
 
 def _hyperplanes_avoiding_e1(p: int, d: int) -> int:
@@ -339,17 +328,14 @@ def _group_invariants(group: engine.ResidueMatrixGroup,
     return bad
 
 
-def check_property_suite(max_n: int = 24,
-                         max_modulus: int = engine.DEFAULT_MAX_MODULUS
-                         ) -> tuple[bool, str]:
+def check_property_suite(max_n: int = 24) -> tuple[bool, str]:
     """Structural invariants: engine, Farey symbols, certificates."""
     rng = random.Random(RNG_SEED)
     bad = []
 
     for kind, level in (("gamma0", 6), ("gamma0", 12), ("gamma1", 5),
                         ("gamma", 2), ("gamma0", 1)):
-        group = engine.subgroup_by_membership(kind, level, 2 * level,
-                                              max_modulus=max_modulus)
+        group = engine.subgroup_by_membership(kind, level, 2 * level)
         bad.extend(_group_invariants(group, rng))
 
     for family, top in (("gamma0", min(max_n, 24)), ("gamma1", min(max_n, 16))):
@@ -378,7 +364,7 @@ def check_property_suite(max_n: int = 24,
     if pulled:
         parent = find_witness("gamma0", 6)
     for family, n in pulled:
-        ambient = full_image(family, n, max_modulus=max_modulus)
+        ambient = full_image(family, n)
         order = engine.subgroup_order(
             [g.reduce(2 * n).key()
              for g in propagate_witness(parent, family, n)], ambient)
@@ -398,7 +384,7 @@ def check_property_suite(max_n: int = 24,
                 continue
             for desc in report.descriptors:
                 data = desc.to_dict()
-                ok, msg = verify_witness_data(data, max_modulus=max_modulus)
+                ok, msg = verify_witness_data(data)
                 checked += 1
                 if not ok:
                     bad.append(("certificate", family, n,
@@ -463,9 +449,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def verify_witness_data(data: dict,
-                        max_modulus: int = engine.DEFAULT_MAX_MODULUS
-                        ) -> tuple[bool, str]:
+def verify_witness_data(data: dict) -> tuple[bool, str]:
     """Re-validate an exported lift dict from first principles.
 
     The recorded generators must be the ones the character regenerates
@@ -486,9 +470,9 @@ def verify_witness_data(data: dict,
     if cert["modulus"] != 2 * level:
         return False, f"certificate modulus {cert['modulus']} is not 2N"
     n = 2 * level
-    # full_image enforces the modulus cap before any closure runs; the
+    # full_image applies the scan bound before any enumeration runs; the
     # certificate's |H| came from the order formula, this one is enumerated.
-    ambient = full_image(family, level, max_modulus=max_modulus)
+    ambient = full_image(family, level)
     character = SignCharacter(generator_set(family, level),
                               None if signs == "full" else tuple(signs))
     expected = list(lift_generators(character))
@@ -529,24 +513,26 @@ CHECKS = (
 )
 
 
-def run_suite(max_n: int = 24, seed_tamper: bool = False,
-              max_modulus: int = engine.DEFAULT_MAX_MODULUS
-              ) -> list[CheckResult]:
-    """Run every check, scaled down to levels <= max_n where applicable."""
+def run_suite(max_n: int = 24,
+              seed_tamper: bool = False) -> list[CheckResult]:
+    """Run every check, scaled down to levels <= max_n where applicable.
+
+    The largest image the checks enumerate is H mod 2N at N = max_n, in
+    every family the same row scan, so the scan bound is applied to it
+    before any check runs.
+    """
+    engine.check_scan("gamma0", max_n, 2 * max_n)
     results = []
     for name, fn in CHECKS:
         start = time.perf_counter()
         if name == "gamma1-census":
-            passed, detail = fn(max_n=max_n, seed_tamper=seed_tamper,
-                                max_modulus=max_modulus)
-        elif name == "small-level-table":
-            passed, detail = fn(max_n=max_n)
+            passed, detail = fn(max_n=max_n, seed_tamper=seed_tamper)
         elif name == "hyperplane-lemma":
             passed, detail = fn()
         elif name == "general-level":
             passed, detail = fn(max_n0=min(max_n, 60), max_n1=min(max_n, 20))
         else:
-            passed, detail = fn(max_n=max_n, max_modulus=max_modulus)
+            passed, detail = fn(max_n=max_n)
         results.append(CheckResult(name, passed, detail,
                                    time.perf_counter() - start))
     return results

@@ -17,6 +17,13 @@ def test_congruence_counts_formula_vs_engine_through_48():
     assert passed, detail
 
 
+def test_count_agreement_reaches_max_n():
+    # The engine checks run to max_n itself, not to a modulus cap.
+    passed, detail = verify.check_count_agreement(max_n=52)
+    assert passed, detail
+    assert detail.endswith("N <= 52")
+
+
 def test_square_class_dimensions_and_minus_one_flags_through_48():
     passed, detail = verify.check_quotient_structure(max_n=48)
     assert passed, detail

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liftlab import cli, verify
+from liftlab import cli, engine, verify
 from liftlab.counting import count_congruence_lifts_formula
 from liftlab.lifts import classify_all, find_witness
 from liftlab.matrices import IntegerMatrix
@@ -95,34 +95,67 @@ def test_classify_past_the_modulus_cap(capsys):
         assert "unrecognized arguments: --max-modulus 98" in err
 
 
-def test_engine_cap_message_names_the_cap_options(capsys, tmp_path):
-    # verify-witness audits by a closure in H mod 2N, so it keeps the cap;
-    # it has no formula route, so its error must not suggest one.
+def test_audit_guard_message_names_the_scan_bound(capsys, tmp_path):
+    # verify-witness audits by a closure in H mod 2N, so the scan bound
+    # applies to it; gamma0(49) (a scan of 19208 mod 98) is within it.
     code, _, err = run(capsys, "witness", "--group", "gamma0", "--n", "97")
     assert code == 3 and err.startswith("no witness:")
     path = tmp_path / "w49.json"
     code, _, _ = run(capsys, "witness", "--group", "gamma0", "--n", "49",
                      "--out", str(path))
     assert code == 0
+    code, out, _ = run(capsys, "verify-witness", "--in", str(path))
+    assert code == 0 and "witness re-verified" in out
+    # gamma0(196) mod 392 scans 307328 candidates: one error line, with no
+    # option to offer and no formula route to suggest.
+    code, _, _ = run(capsys, "witness", "--group", "gamma0", "--n", "196",
+                     "--out", str(path))
+    assert code == 0
     code, out, err = run(capsys, "verify-witness", "--in", str(path))
     assert code == 1 and out == ""
-    assert err.startswith("error: modulus 98 exceeds the engine cap 96")
+    assert err.startswith("error: the image of gamma0(196) mod 392 needs a "
+                          "row scan of 307328 candidates, past the engine's "
+                          f"scan bound {engine.MAX_SCAN}")
     assert len(err.splitlines()) == 1
-    assert "--max-modulus" in err and "max_modulus=" in err
-    assert "formula" not in err
-    code, out, _ = run(capsys, "verify-witness", "--in", str(path),
-                       "--max-modulus", "98")
-    assert code == 0 and "witness re-verified" in out
+    assert "--" not in err and "formula" not in err
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify-witness", "--in", str(path),
+                  "--max-modulus", "98"])
+    assert info.value.code == 1
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: --max-modulus 98" in err
 
 
 def test_count_engine_cap_message_suggests_the_formula_mode(capsys):
+    # The component mod 1009 scans 1009^2 candidates, past the scan bound.
     code, out, err = run(capsys, "count", "--mode", "engine", "--group",
-                         "gamma0", "--n", "97")
+                         "gamma0", "--n", "1009")
     assert code == 1 and out == ""
-    assert err.startswith("error: modulus 97 exceeds the engine cap 96")
-    assert "--max-modulus" in err
+    assert err.startswith("error: the image of gamma0(1009) mod 1009 needs "
+                          "a row scan of 1018081 candidates")
+    assert f"scan bound {engine.MAX_SCAN}" in err
     assert "--mode formula" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_count_both_modes_notes_a_refused_engine_count(capsys, fmt):
+    # Past the scan bound the engine column stays empty, the exit code 0,
+    # and one stderr line says why.
+    code, out, err = run(capsys, "count", "--group", "gamma0", "--n",
+                         "1008..1009", "--format", fmt)
+    assert code == 0
+    assert err.splitlines() == [
+        "note: no engine count at N = 1009: the image of gamma0(1009) mod "
+        "1009 needs a row scan of 1018081 candidates, past the engine's "
+        f"scan bound {engine.MAX_SCAN}"]
+    if fmt == "json":
+        rows = json.loads(out)
+        assert [r["engine"] for r in rows] == [rows[0]["formula"], None]
+        assert [r["agree"] for r in rows] == [True, None]
+    else:
+        last = out.splitlines()[-1].replace(",", " ").split()
+        assert last[1] == "1009" and last[-2:] == ["-", "-"]
 
 
 def test_witness_export_and_reverify(capsys, tmp_path):
@@ -297,12 +330,30 @@ def test_verify_subset_passes(capsys):
     ["verify-witness", "--in", "w.json", "--max-modulus", "0"],
 ])
 def test_bounds_below_one_are_usage_errors(capsys, argv):
-    # A bound below 1 would check nothing; it must not pass as a run.
+    # A bound below 1 would check nothing; it must not pass as a run.  No
+    # command takes a modulus bound, so --max-modulus is refused as an
+    # unknown option.
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 1
     _, err = capsys.readouterr()
-    assert "must be at least 1" in err
+    if "--max-modulus" in argv:
+        assert "unrecognized arguments: --max-modulus" in err
+    else:
+        assert "must be at least 1" in err
+
+
+def test_verify_past_the_scan_bound_refuses_before_any_check(capsys,
+                                                             monkeypatch):
+    # H mod 2N at N = 200 needs a scan of 8 * 200^2 = 320000 candidates.
+    def no_scan(*args):
+        raise AssertionError("a row scan started")
+
+    monkeypatch.setattr(engine, "_solve_row", no_scan)
+    code, out, err = run(capsys, "verify", "--max-n", "200")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the image of gamma0(200) mod 400 needs a "
+                          "row scan of 320000 candidates")
 
 
 def test_verify_seed_tamper_flags_census(capsys):
@@ -316,7 +367,7 @@ def test_verify_seed_tamper_flags_census(capsys):
 
 def test_verify_seed_tamper_fails_when_the_audit_accepts(capsys, monkeypatch):
     monkeypatch.setattr(verify, "verify_witness_data",
-                        lambda data, max_modulus=None: (True, "accepted"))
+                        lambda data: (True, "accepted"))
     code, out, _ = run(capsys, "verify", "--max-n", "5", "--seed-tamper")
     assert code == 2
     lines = [line for line in out.splitlines() if "gamma1-census" in line]

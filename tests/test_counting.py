@@ -83,9 +83,8 @@ def test_engine_report_equals_the_direct_route(monkeypatch):
     by_crt = [counting.count_congruence_lifts_engine(*fl).to_dict()
               for fl in levels]
     monkeypatch.setattr(engine, "quotient_summary_crt",
-                        lambda family, level, max_modulus:
-                        engine.quotient_summary(family, level,
-                                                max_modulus=max_modulus))
+                        lambda family, level:
+                        engine.quotient_summary(family, level))
     direct = [counting.count_congruence_lifts_engine(*fl).to_dict()
               for fl in levels]
     assert by_crt == direct
@@ -94,17 +93,48 @@ def test_engine_report_equals_the_direct_route(monkeypatch):
 @pytest.mark.parametrize("family, level", [
     ("gamma0", 2310), ("gamma1", 2310), ("gamma", 2310), ("gamma0", 1155)])
 def test_engine_count_past_the_direct_cap(family, level):
-    # 2N exceeds the default cap 96; every CRT component fits under it.
+    # The scan mod 2N is far past the scan bound; every CRT component's
+    # scan is within it.
     engine_count = counting.count_congruence_lifts_engine(family, level)
     formula = counting.count_congruence_lifts_formula(family, level)
     assert engine_count.count == formula.count
 
 
-@pytest.mark.parametrize("level, component", [(97, 97), (64, 128)])
-def test_engine_count_component_past_the_cap(level, component):
-    with pytest.raises(engine.ModulusCapExceeded) as info:
+@pytest.mark.parametrize("level", [97, 64])
+def test_engine_count_components_within_the_guard(level):
+    # Components mod 97 and mod 128 scan 9409 and 32768 candidates.
+    engine_count = counting.count_congruence_lifts_engine("gamma0", level)
+    formula = counting.count_congruence_lifts_formula("gamma0", level)
+    assert engine_count.count == formula.count
+
+
+@pytest.mark.parametrize("level, component, scan", [
+    (1009, 1009, 1009 ** 2), (256, 512, 2 * 512 ** 2)])
+def test_engine_count_component_past_the_guard(level, component, scan):
+    with pytest.raises(engine.ScanBoundExceeded) as info:
         counting.count_congruence_lifts_engine("gamma0", level)
-    assert info.value.modulus == component
+    assert (info.value.modulus, info.value.scan) == (component, scan)
+
+
+def test_engine_count_guard_fires_before_the_scan(monkeypatch):
+    # gamma(10007) would scan 10007^2 candidates; no component is built,
+    # not even the one mod 2, before the refusal.
+    def no_scan(*args):
+        raise AssertionError("a row scan started")
+
+    monkeypatch.setattr(engine, "_solve_row", no_scan)
+    with pytest.raises(engine.ScanBoundExceeded, match=r"gamma\(10007\)"):
+        counting.count_congruence_lifts_engine("gamma", 10007)
+
+
+@pytest.mark.parametrize("family, level", [
+    ("gamma0", 200), ("gamma1", 350), ("gamma", 336), ("gamma0", 7)])
+def test_engine_count_ignores_max_modulus(family, level):
+    # The benchmark's worker calls the engine count with max_modulus=2N;
+    # the keyword is accepted and changes nothing.
+    report = counting.count_congruence_lifts_engine(family, level)
+    assert counting.count_congruence_lifts_engine(
+        family, level, max_modulus=2 * level) == report
 
 
 def test_report_round_trip():

@@ -214,11 +214,25 @@ def test_quotient_summary_crt_matches_direct():
 
 
 def test_modulus_cap():
-    with pytest.raises(engine.ModulusCapExceeded):
-        engine.subgroup_by_membership("gamma0", 60, 120)
-    # explicit override wins over the default cap
-    group = engine.subgroup_by_membership("gamma0", 60, 120, max_modulus=120)
+    # The one engine guard is the row scan's size, (modulus // level) *
+    # modulus^2 candidates, compared with MAX_SCAN before the scan starts.
+    with pytest.raises(engine.ScanBoundExceeded) as info:
+        engine.subgroup_by_membership("gamma", 10007, 10007)
+    exc = info.value
+    assert (exc.family, exc.level, exc.modulus, exc.scan, exc.bound) == (
+        "gamma", 10007, 10007, 10007 ** 2, engine.MAX_SCAN)
+    assert str(exc) == (
+        f"the image of gamma(10007) mod 10007 needs a row scan of "
+        f"{10007 ** 2} candidates, past the engine's scan bound "
+        f"{engine.MAX_SCAN}")
+    # 547^2 = 299209 is within the bound and 557^2 = 310249 is past it
+    engine.check_scan("gamma0", 547, 547)
+    with pytest.raises(engine.ScanBoundExceeded):
+        engine.check_scan("gamma0", 557, 557)
+    # gamma0(60) mod 120 scans 2 * 120^2 = 28800 candidates
+    group = engine.subgroup_by_membership("gamma0", 60, 120)
     assert group.modulus == 120
+    assert group.order == 120 ** 3 * 3 // 4 * 8 // 9 * 24 // 25 // 144
 
 
 def test_unknown_kind():

@@ -357,7 +357,7 @@ def test_certificates_survive_independent_closure():
 
 
 def test_classify_all_checks_the_cap_before_the_symbol(monkeypatch):
-    # classify_all and find_witness have no modulus cap; the index bound
+    # classify_all and find_witness meet no scan bound; the index bound
     # refuses gamma1(1000), index 360000, before a coset of its Farey
     # symbol is keyed.
     def no_walk(*args):
@@ -370,8 +370,8 @@ def test_classify_all_checks_the_cap_before_the_symbol(monkeypatch):
             call("gamma1", 1000)
 
 
-def test_level_caches_key_on_the_resolved_cap():
-    # Only full_image enumerates, so only its cache keys on the cap.
+def test_level_caches_have_one_entry_per_level():
+    # The level caches key on (family, level) alone.
     caches = (lifts._full_image_cached, lifts._congruence_conditions,
               lifts._classify_all_cached)
     for cache in caches:
@@ -381,32 +381,34 @@ def test_level_caches_key_on_the_resolved_cap():
     classify_all("gamma0", 12)
     misses = [cache.cache_info().misses for cache in caches]
     # Every call form names the same entry: each lookup below is a hit.
-    cap = engine.DEFAULT_MAX_MODULUS
     full_image("gamma0", 12)
-    full_image("gamma0", 12, cap)
-    full_image("gamma0", 12, max_modulus=cap)
+    full_image("gamma0", level=12)
+    full_image(family="gamma0", level=12)
     find_witness("gamma0", 12)
     classify_all("gamma0", 12)
     assert [cache.cache_info().misses for cache in caches] == misses
-    # A lower cap is enforced, not answered from the cached level.
-    with pytest.raises(engine.ModulusCapExceeded):
-        full_image("gamma0", 12, max_modulus=4)
-    for call in (find_witness, classify_all):
+    # No level function takes a modulus bound.
+    for call in (full_image, find_witness, classify_all):
         with pytest.raises(TypeError):
             call("gamma0", 12, max_modulus=4)
 
 
 def test_environment_sets_no_cap(monkeypatch):
-    # The cap is an argument of full_image only: no environment variable
-    # lowers or raises it, and the census reads none.
+    # The scan bound is a constant: no environment variable lowers or
+    # raises it, and the census reads none.
     lifts._full_image_cached.cache_clear()
     lifts._classify_all_cached.cache_clear()
-    monkeypatch.setenv("LIFTLAB_MAX_MODULUS", "4")
+    for name in ("LIFTLAB_MAX_MODULUS", "LIFTLAB_MAX_SCAN"):
+        monkeypatch.setenv(name, "4")
     assert full_image("gamma0", 12).order == 384
     assert classify_all("gamma0", 12).total == 33
-    monkeypatch.setenv("LIFTLAB_MAX_MODULUS", "98")
-    with pytest.raises(engine.ModulusCapExceeded):
-        full_image("gamma1", 49)
+    assert full_image("gamma1", 49).order == lifts.full_image_order(
+        "gamma1", 49)
+    # H mod 392 of gamma1(196) needs a scan of 307328 candidates
+    for name in ("LIFTLAB_MAX_MODULUS", "LIFTLAB_MAX_SCAN"):
+        monkeypatch.setenv(name, "1000000000")
+    with pytest.raises(engine.ScanBoundExceeded):
+        full_image("gamma1", 196)
     assert classify_all("gamma1", 49).congruence == 3
 
 
@@ -433,8 +435,8 @@ def test_census_enumerates_no_image(monkeypatch):
     ("gamma0", 2310), ("gamma0", 4036), ("gamma0", 9240), ("gamma1", 200),
     ("gamma1", 300)])
 def test_census_matches_the_closed_form_past_the_cap(family, level):
-    # 2N is far past the modulus cap; gamma0(4036) = 4 * 1009 would need an
-    # image mod 1009 even by CRT components.
+    # H mod 2N is far past the scan bound; gamma0(4036) = 4 * 1009 would
+    # need an image mod 1009, past it even by CRT components.
     report = classify_all(family, level)
     gens = generator_set(family, level)
     assert gens.e2 == 0
